@@ -45,7 +45,10 @@ class Rationals:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise FieldError(f"cannot interpret {x!r} as a rational") from None
         raise FieldError(f"cannot interpret {x!r} as a rational")
 
     @staticmethod
@@ -139,7 +142,9 @@ def field_from_json(data) -> Field:
     if data == "Q":
         return QQ
     if isinstance(data, dict) and set(data) == {"Fp"}:
-        return PrimeField(int(data["Fp"]))
+        p = data["Fp"]
+        if isinstance(p, int) and not isinstance(p, bool):
+            return PrimeField(p)
     raise FieldError(f"unrecognized field spec {data!r}")
 
 

@@ -48,18 +48,19 @@ class DivisionalFlag:
         """Recompute the chain from scratch and check the stored data."""
         if not self.flats or self.flats[0].members != ():
             return False
+        rebuilt = []
         for i, flat in enumerate(self.flats):
-            rebuilt = flat_from_members(arr, flat.members)
-            if rebuilt.codim != i or rebuilt.members != flat.members:
+            closed = flat_from_members(arr, flat.members)
+            if closed.codim != i or closed.members != flat.members:
                 return False
             if i > 0 and not set(self.flats[i - 1].members) <= set(flat.members):
                 return False
-        polys = []
-        for flat in self.flats:
-            rebuilt = flat_from_members(arr, flat.members)
-            sub = arr if flat.codim == 0 else restriction(arr, rebuilt).arrangement
-            polys.append(char_data(sub).chi)
-        if tuple(polys) != self.charpolys:
+            rebuilt.append(closed)
+        polys = tuple(
+            char_data(arr if i == 0 else restriction(arr, flat).arrangement).chi
+            for i, flat in enumerate(rebuilt)
+        )
+        if polys != self.charpolys:
             return False
         for i in range(len(polys) - 1):
             if not intpoly.divides(polys[i + 1], polys[i]):

@@ -134,7 +134,8 @@ def linear_roots(f: IntPoly):
             return None
         roots.append(found)
         work, rem = div_rem(work, (-found, 1))
-        assert rem == ZERO
+        if rem != ZERO:
+            raise ArithmeticError(f"root {found} leaves the remainder {rem} on division")
     return tuple(sorted(roots))
 
 
@@ -162,7 +163,8 @@ def gcd_monic(f: IntPoly, g: IntPoly) -> IntPoly:
         return ZERO
     lead = a[-1]
     monic = [c / lead for c in a]
-    assert all(c.denominator == 1 for c in monic)
+    if any(c.denominator != 1 for c in monic):
+        raise ArithmeticError("the monic gcd of monic integer polynomials is not integral")
     return poly([int(c) for c in monic])
 
 

@@ -20,6 +20,11 @@ class SchemaError(ValueError):
     """Input JSON does not match the expected schema."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` are bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def arrangement_to_json(arr: Arrangement) -> dict:
     return {
         "field": field_to_json(arr.field),
@@ -41,10 +46,10 @@ def arrangement_from_json(data) -> Arrangement:
     except ValueError as exc:
         raise SchemaError(f"bad 'field' entry: {exc}") from None
     dim = data["dim"]
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise SchemaError("'dim' must be an integer")
     hyperplanes = data["hyperplanes"]
-    if not isinstance(hyperplanes, list):
+    if not isinstance(hyperplanes, list) or not all(isinstance(h, list) for h in hyperplanes):
         raise SchemaError("'hyperplanes' must be a list of covectors")
     try:
         return make_arrangement(field, dim, hyperplanes)
@@ -93,12 +98,18 @@ def flag_from_json(arr: Arrangement, data) -> DivisionalFlag:
     flats = []
     charpolys = []
     for entry in levels:
+        if not isinstance(entry, dict):
+            raise SchemaError("each level must be an object")
         members = entry.get("members")
-        if not isinstance(members, list):
-            raise SchemaError("each level needs a 'members' list")
+        if not isinstance(members, list) or not all(_is_int(h) for h in members):
+            raise SchemaError("each level needs a 'members' list of hyperplane indices")
         flats.append(flat_from_members(arr, members))
         charpolys.append(poly_from_json(entry.get("charpoly")))
     exponents = data.get("exponents")
+    if exponents is not None and (
+        not isinstance(exponents, list) or not all(_is_int(e) for e in exponents)
+    ):
+        raise SchemaError("'exponents' must be null or a list of integers")
     return DivisionalFlag(
         tuple(flats),
         tuple(charpolys),
@@ -126,10 +137,17 @@ def if_certificate_from_json(data) -> IFCertificate:
         raise SchemaError("expected an inductive-freeness certificate")
     field = field_from_json(data.get("field"))
     dim = data.get("dim")
-    if not isinstance(dim, int):
+    if not _is_int(dim):
         raise SchemaError("'dim' must be an integer")
+    entries = data.get("steps", [])
+    if not isinstance(entries, list):
+        raise SchemaError("'steps' must be a list")
     steps = []
-    for entry in data.get("steps", ()):
+    for entry in entries:
+        if not isinstance(entry, dict) or not {"covector", "restriction_charpoly"} <= set(entry):
+            raise SchemaError("each step must be an object with 'covector' and 'restriction_charpoly'")
+        if not isinstance(entry["covector"], list):
+            raise SchemaError("a step's 'covector' must be a list")
         cov = tuple(field.coerce(x) for x in entry["covector"])
         steps.append(IFStep(cov, poly_from_json(entry["restriction_charpoly"])))
     return IFCertificate(field, dim, tuple(steps))

@@ -2,8 +2,12 @@
 and two independent oracles for cross-checking them.
 
 The lattice is built rank by rank: each level is the deduplicated set of
-one-hyperplane extensions of the previous one, keyed by the canonical rref
-of the flat's normal space.  Member sets are kept as bitmasks so interval
+one-hyperplane extensions Y ∧ H_h (h > max Y) of the previous one, keyed by
+the canonical rref of the flat's normal space.  Only those extensions
+touch coordinates.  A flat's member set is the union of members(Y) ∪ {h}
+over the pairs (Y, h) that reach it (matroid closure), and its Möbius
+value follows from Weisner's theorem with the atom of its largest member,
+so neither needs arithmetic.  Member sets are kept as bitmasks so interval
 containment (reverse inclusion) is a single subset test.
 """
 
@@ -77,79 +81,70 @@ class IntersectionLattice:
 def build_lattice(arr: Arrangement, max_codim: int | None = None) -> IntersectionLattice:
     """Levels, members, and Möbius values of the intersection lattice.
 
-    Extension is pruned to hyperplanes above the largest current member:
-    every flat of the next rank has a maximal proper subflat avoiding its
-    largest member, so each flat is still generated at least once.
+    Each flat X of codimension k is found as Y ∧ H_h from a flat Y of
+    codimension k-1 and a hyperplane h > max(Y).  With m = max(X), every
+    member h' ≠ m lies in a basis B of members(X) that contains m, and
+    Y = cl(B - {m}) is such a Y containing h'; so OR-ing members(Y) ∪ {h}
+    over the pairs that reach X gives the closed member set of X without
+    testing any covector against X.
+
+    The pairs with h = m are exactly the covers Y ⋖ X that avoid H_m, so
+    Weisner's theorem for the atom H_m gives μ(X) = -Σ μ(Y) over them
+    (Stanley, *Enumerative Combinatorics* I, §3.9; Orlik–Terao,
+    *Arrangements of Hyperplanes*, ch. 2).  The largest h among X's pairs
+    is m, so one running (h, Σμ) per flat suffices.
     """
     field = arr.field
     n = len(arr)
     dim = arr.dim
     limit = dim if max_codim is None else min(max_codim, dim)
-    zero = field.zero
 
-    # per level: list of (rows, pivots, members tuple, mask)
-    levels_raw = [[((), (), (), 0)]]
+    # per level: list of (rows, pivots, member mask, Möbius value)
+    levels_raw = [[((), (), 0, 1)]]
     while len(levels_raw) - 1 < limit:
-        current = levels_raw[-1]
-        found: dict[tuple, tuple] = {}
-        for rows, pivots, members, mask in current:
+        # normal space -> [pivots, member mask, largest h seen, Σμ over pairs with that h]
+        found: dict[tuple, list] = {}
+        for rows, pivots, mask, mu in levels_raw[-1]:
             # members all precede the start index, so no membership check here
-            start = members[-1] + 1 if members else 0
-            for h in range(start, n):
+            for h in range(mask.bit_length(), n):
                 extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
                 if extended is None:
                     continue
                 new_rows, new_pivots = extended
-                if new_rows not in found:
-                    found[new_rows] = (new_rows, new_pivots)
+                entry = found.get(new_rows)
+                if entry is None:
+                    found[new_rows] = [new_pivots, mask | 1 << h, h, mu]
+                    continue
+                entry[1] |= mask | 1 << h
+                if h > entry[2]:
+                    entry[2] = h
+                    entry[3] = mu
+                elif h == entry[2]:
+                    entry[3] += mu
         if not found:
             break
         next_level = []
         for new_rows in sorted(found):
-            new_rows, new_pivots = found[new_rows]
-            members = []
-            mask = 0
-            for h, cov in enumerate(arr.hyperplanes):
-                v = cov
-                for row, c in zip(new_rows, new_pivots):
-                    factor = v[c]
-                    if factor != zero:
-                        v = tuple(field.sub(v[j], field.mul(factor, row[j])) for j in range(dim))
-                if all(x == zero for x in v):
-                    members.append(h)
-                    mask |= 1 << h
-            next_level.append((new_rows, new_pivots, tuple(members), mask))
+            new_pivots, mask, _, mu_sum = found[new_rows]
+            next_level.append((new_rows, new_pivots, mask, -mu_sum))
         levels_raw.append(next_level)
 
     flats = tuple(
         tuple(
-            Flat(arr, codim, members, Matrix(field, rows, dim))
-            for rows, _, members, _ in level
+            Flat(arr, codim, tuple(h for h in range(n) if mask >> h & 1), Matrix(field, rows, dim))
+            for rows, _, mask, _ in level
         )
         for codim, level in enumerate(levels_raw)
     )
-    masks = tuple(tuple(entry[3] for entry in level) for level in levels_raw)
-
-    mobius = [[1]]
-    for k in range(1, len(flats)):
-        level_mob = []
-        for mask in masks[k]:
-            acc = 1  # the top flat V
-            for j in range(1, k):
-                for above_mask, mu in zip(masks[j], mobius[j]):
-                    if above_mask & mask == above_mask:
-                        acc += mu
-            level_mob.append(-acc)
-        mobius.append(level_mob)
 
     # a capped build is still complete when it stopped before hitting the cap
     complete = max_codim is None or len(flats) - 1 < limit or limit == dim
     return IntersectionLattice(
         arrangement=arr,
         levels=flats,
-        mobius=tuple(tuple(m) for m in mobius),
+        mobius=tuple(tuple(entry[3] for entry in level) for level in levels_raw),
         complete=complete,
-        _masks=masks,
+        _masks=tuple(tuple(entry[2] for entry in level) for level in levels_raw),
     )
 
 
@@ -208,7 +203,8 @@ def char_data(arr: Arrangement, lattice: IntersectionLattice | None = None) -> C
         betti_dec = None
     else:
         chi0, rem = intpoly.div_rem(chi, (-1, 1))
-        assert rem == intpoly.ZERO, "(t-1) must divide chi of a nonempty arrangement"
+        if rem != intpoly.ZERO:
+            raise ArithmeticError("(t-1) must divide chi of a nonempty arrangement")
         betti_dec = tuple((-1) ** i * intpoly.coeff(chi0, ell - 1 - i) for i in range(ell))
     return CharData(arr, chi, poincare, betti, chi0, betti_dec)
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import divflag
 
 from divflag.cli import run
 from divflag.jsonio import (
@@ -134,3 +139,59 @@ def test_threads_env(monkeypatch):
     assert run(["charpoly", "--catalog", "boolean", "--l", "2"]) == 0
     monkeypatch.setenv("DIVFLAG_THREADS", "0")
     assert run(["charpoly", "--catalog", "boolean", "--l", "2"]) == 1
+
+
+ER_FLAG_TOP = {"members": [], "charpoly": [0, 0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("arrangement,certificate", [
+    pytest.param(None, {"kind": "divisional-flag", "levels": [[], [0]], "exponents": None},
+                 id="df-level-list"),
+    pytest.param(None, {"kind": "divisional-flag", "exponents": None, "levels": [
+        ER_FLAG_TOP, {"members": ["a"], "charpoly": [0, 0, 1]}]}, id="df-member-string"),
+    pytest.param(None, {"kind": "divisional-flag", "exponents": None, "levels": [
+        ER_FLAG_TOP, {"members": [True], "charpoly": [0, 0, 1]}]}, id="df-member-bool"),
+    pytest.param(None, {"kind": "divisional-flag", "exponents": 4, "levels": [ER_FLAG_TOP]},
+                 id="df-exponents-int"),
+    pytest.param(None, {"kind": "inductive-freeness", "field": "Q", "dim": 4,
+                        "steps": [{"restriction_charpoly": [0, 0, 0, 1]}]},
+                 id="if-step-no-covector"),
+    pytest.param(None, {"kind": "inductive-freeness", "field": "Q", "dim": 4,
+                        "steps": {"covector": [1]}}, id="if-steps-object"),
+    pytest.param(None, {"kind": "inductive-freeness", "field": "Q", "dim": 4,
+                        "steps": [[1, 0, 0, 0]]}, id="if-step-list"),
+    pytest.param(None, {"kind": "inductive-freeness", "field": "Q", "dim": True, "steps": []},
+                 id="if-dim-true"),
+    pytest.param(None, {"kind": "inductive-freeness", "field": {"Fp": [7]}, "dim": 4,
+                        "steps": []}, id="if-field-prime-list"),
+    pytest.param({"field": "Q", "dim": True, "hyperplanes": [[1]]},
+                 {"kind": "divisional-flag", "exponents": [1],
+                  "levels": [{"members": [], "charpoly": [-1, 1]}]}, id="dim-true"),
+    pytest.param({"field": "Q", "dim": 2, "hyperplanes": [5]}, {"kind": "divisional-flag"},
+                 id="covector-int"),
+    pytest.param({"field": "Q", "dim": 2, "hyperplanes": [["1/0", 1]]}, {"kind": "divisional-flag"},
+                 id="scalar-zero-denominator"),
+])
+def test_malformed_input_is_input_error(tmp_path, capsys, arrangement, certificate):
+    arr_path = tmp_path / "arr.json"
+    cert_path = tmp_path / "cert.json"
+    if arrangement is None:
+        assert run(["catalog", "edelman-reiner", "--emit", str(arr_path)]) == 0
+    else:
+        arr_path.write_text(json.dumps(arrangement))
+    cert_path.write_text(json.dumps(certificate))
+    capsys.readouterr()
+    assert run(["verify-cert", str(arr_path), str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_python_m_divflag():
+    src = os.path.dirname(os.path.dirname(divflag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "divflag", "charpoly", "--catalog", "braid"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

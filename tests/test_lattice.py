@@ -4,8 +4,15 @@ import pytest
 
 from divflag import intpoly
 from divflag.arrangement import deletion, make_arrangement, restrict_to_hyperplane
-from divflag.catalog import boolean, braid, edelman_reiner_restriction, weyl_b
-from divflag.exactalg import QQ, PrimeField
+from divflag.catalog import (
+    CATALOG_NAMES,
+    boolean,
+    braid,
+    build_entry,
+    edelman_reiner_restriction,
+    weyl_b,
+)
+from divflag.exactalg import QQ, PrimeField, extend_rref, reduce_against
 from divflag.lattice import (
     BadPrimeError,
     EmptyArrangementError,
@@ -60,6 +67,95 @@ def test_members_are_maximal():
                     x == zero for x in reduce_against(arr.field, rows, pivots, cov)
                 )
                 assert inside == (h in flat.members)
+
+
+def _reference_lattice(arr, max_codim=None):
+    """The lattice by the direct route, as a test oracle for build_lattice.
+
+    Every flat is extended by every hyperplane it does not contain, every
+    covector is re-reduced against each new flat for its member set, and
+    μ comes from its defining recursion over all pairs of flats.  Returns
+    (normal-space rows, member masks, Möbius values) per level and the
+    complete flag.
+    """
+    field, n, dim = arr.field, len(arr), arr.dim
+    limit = dim if max_codim is None else min(max_codim, dim)
+    levels = [[((), (), 0)]]
+    while len(levels) - 1 < limit:
+        found = {}
+        for rows, pivots, mask in levels[-1]:
+            for h in range(n):
+                if mask >> h & 1:
+                    continue
+                extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
+                found.setdefault(extended[0], extended[1])
+        if not found:
+            break
+        level = []
+        for rows in sorted(found):
+            pivots = found[rows]
+            mask = 0
+            for h, cov in enumerate(arr.hyperplanes):
+                if all(x == field.zero for x in reduce_against(field, rows, pivots, cov)):
+                    mask |= 1 << h
+            level.append((rows, pivots, mask))
+        levels.append(level)
+    masks = [[mask for _, _, mask in level] for level in levels]
+    mobius = [[1]]
+    for k in range(1, len(levels)):
+        mobius.append([
+            -sum(mu for j in range(k) for above, mu in zip(masks[j], mobius[j])
+                 if above & mask == above)
+            for mask in masks[k]
+        ])
+    complete = max_codim is None or len(levels) - 1 < limit or limit == dim
+    rows = [[r for r, _, _ in level] for level in levels]
+    return rows, masks, mobius, complete
+
+
+def _assert_matches_reference(arr, max_codim=None):
+    rows, masks, mobius, complete = _reference_lattice(arr, max_codim)
+    lat = build_lattice(arr, max_codim)
+    assert lat.complete == complete
+    assert [list(m) for m in lat._masks] == masks
+    assert [list(m) for m in lat.mobius] == mobius
+    assert len(lat.levels) == len(rows)
+    for codim, (level, level_rows, level_masks) in enumerate(zip(lat.levels, rows, masks)):
+        assert [f.normal_space.rows for f in level] == level_rows
+        assert [f.codim for f in level] == [codim] * len(level)
+        assert [f.members for f in level] == [
+            tuple(h for h in range(len(arr)) if mask >> h & 1) for mask in level_masks
+        ]
+
+
+def _catalog_arrangements():
+    for name in CATALOG_NAMES:
+        arr = build_entry(name).arrangement
+        yield name, getattr(arr, "arrangement", arr)  # the pentagon cone carries extra data
+    yield "weyl-b4", weyl_b(4)
+    yield "braid5", braid(5)
+
+
+@pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
+def test_build_matches_reference_catalog(name, arr):
+    _assert_matches_reference(arr)
+    for cap in (1, 2):
+        _assert_matches_reference(arr, max_codim=cap)
+    for h in range(len(arr)):
+        _assert_matches_reference(restrict_to_hyperplane(arr, h).arrangement)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11])
+def test_build_matches_reference_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(71 if p is None else 71 + p)
+    for dim in range(2, 6):
+        # distinct hyperplanes over F_p are the (p^dim - 1)/(p - 1) projective points
+        available = 12 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(17):
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
+            _assert_matches_reference(arr)
+            _assert_matches_reference(arr, max_codim=rng.randint(1, 2))
 
 
 def test_covers_step_one_codim():
