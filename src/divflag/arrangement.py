@@ -222,11 +222,6 @@ def essentialize(arr: Arrangement) -> Arrangement:
     return make_arrangement(arr.field, len(pivots), covs)
 
 
-def contains_proportional(arr: Arrangement, covector: Sequence) -> bool:
-    norm = normalize_covector(arr.field, [arr.field.coerce(x) for x in covector])
-    return norm in set(arr.hyperplanes)
-
-
 def add_hyperplane(arr: Arrangement, covector: Sequence) -> Arrangement:
     """Arrangement with one more hyperplane appended (index len(arr))."""
     norm = normalize_covector(arr.field, [arr.field.coerce(x) for x in covector])

@@ -10,25 +10,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
-Scalar = Union[Fraction, int]
+# PEP 604 unions: typing.Union would keep the classes in typing's cache, and
+# with them this module, after the package is dropped and imported afresh
+Scalar = Fraction | int
 
 
 class FieldError(ValueError):
     """Mixed fields, bad field parameters, or unconvertible scalars."""
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality below ``PRIME_LIMIT``; ``FieldError`` above it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    if n >= PRIME_LIMIT:
+        raise FieldError(f"cannot certify {n} prime: primes must be below {PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -131,7 +155,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-Field = Union[Rationals, PrimeField]
+Field = Rationals | PrimeField
 
 
 def field_to_json(field: Field):
@@ -271,6 +295,48 @@ def extend_rref(field: Field, rows, pivots, vector):
         new_rows.append(v)
         new_pivots.append(lead)
     return tuple(tuple(r) for r in new_rows), tuple(new_pivots)
+
+
+def extend_rref_mod(p: int, rows, pivots, vector):
+    """``extend_rref`` over F_p on canonical residues in ``[0, p)``, in plain
+    int arithmetic.
+
+    The rows are reduced, so the coefficient of row i in the residual is the
+    vector's own entry at pivot i; the residual therefore takes one pass and
+    one reduction mod p per entry.
+    """
+    v = vector
+    for row, c in zip(rows, pivots):
+        f = vector[c]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    v = [a % p for a in v]
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
+        return None
+    if x != 1:
+        scale = pow(x, p - 2, p)
+        v = [a * scale % p for a in v]
+    v = tuple(v)
+    new_rows = []
+    new_pivots = []
+    inserted = False
+    for row, c in zip(rows, pivots):
+        if not inserted and lead < c:
+            new_rows.append(v)
+            new_pivots.append(lead)
+            inserted = True
+        f = row[lead]
+        if f:
+            row = tuple([(a - f * b) % p for a, b in zip(row, v)])
+        new_rows.append(row)
+        new_pivots.append(c)
+    if not inserted:
+        new_rows.append(v)
+        new_pivots.append(lead)
+    return tuple(new_rows), tuple(new_pivots)
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import intpoly
-from .arrangement import Arrangement, flat_from_members, make_arrangement
+from .arrangement import Arrangement, Flat, flat_from_members, make_arrangement
 from .exactalg import field_from_json, field_to_json, scalar_to_json
 from .freeness import DivisionalFlag, IFCertificate, IFStep
 
@@ -103,7 +103,10 @@ def flag_from_json(arr: Arrangement, data) -> DivisionalFlag:
         members = entry.get("members")
         if not isinstance(members, list) or not all(_is_int(h) for h in members):
             raise SchemaError("each level needs a 'members' list of hyperplane indices")
-        flats.append(flat_from_members(arr, members))
+        # the listed members are the certificate's claim; verify checks that
+        # they are closed, so they are kept as listed rather than closed here
+        span = flat_from_members(arr, members)
+        flats.append(Flat(arr, span.codim, tuple(members), span.normal_space))
         charpolys.append(poly_from_json(entry.get("charpoly")))
     exponents = data.get("exponents")
     if exponents is not None and (

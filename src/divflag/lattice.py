@@ -3,8 +3,10 @@ and two independent oracles for cross-checking them.
 
 The lattice is built rank by rank: each level is the deduplicated set of
 one-hyperplane extensions Y ∧ H_h (h > max Y) of the previous one, keyed by
-the canonical rref of the flat's normal space.  Only those extensions
-touch coordinates.  A flat's member set is the union of members(Y) ∪ {h}
+the canonical rref of the flat's normal space over F_p: the field's own
+prime, or over Q the prime MODULUS when the Hadamard bound shows that
+reduction mod MODULUS keeps every rank.  Only those extensions touch
+coordinates.  A flat's member set is the union of members(Y) ∪ {h}
 over the pairs (Y, h) that reach it (matroid closure), and its Möbius
 value follows from Weisner's theorem with the atom of its largest member,
 so neither needs arithmetic.  Member sets are kept as bitmasks so interval
@@ -19,7 +21,12 @@ from math import lcm
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, make_arrangement, ArrangementError
-from .exactalg import Matrix, QQ, extend_rref, _rref_rows
+from .exactalg import Matrix, QQ, extend_rref, extend_rref_mod, _rref_rows
+
+
+# A Mersenne prime: rational arrangements whose Hadamard bound is below it
+# are eliminated mod MODULUS in plain int arithmetic.
+MODULUS = 2**61 - 1
 
 
 class EmptyArrangementError(ValueError):
@@ -46,21 +53,6 @@ class IntersectionLattice:
         for level in self.levels:
             yield from level
 
-    def mobius_of(self, flat: Flat) -> int:
-        for level, mob in zip(self.levels, self.mobius):
-            for f, m in zip(level, mob):
-                if f.members == flat.members and f.codim == flat.codim:
-                    return m
-        raise KeyError("flat not in lattice")
-
-    def find(self, members) -> Flat:
-        target = tuple(sorted(members))
-        for level in self.levels:
-            for f in level:
-                if f.members == target:
-                    return f
-        raise KeyError(f"no flat with members {target}")
-
     @property
     def covers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """covers[i][j] = indices k at level i+1 with levels[i][j] covered by levels[i+1][k]."""
@@ -78,6 +70,42 @@ class IntersectionLattice:
         return self._covers
 
 
+def hadamard_bound_sq(int_rows, k: int) -> int:
+    """The square of a bound on |det| of every square submatrix of at most
+    k rows of the nonzero integer rows: the product of their k largest
+    squared norms (Hadamard's inequality; the norms are at least 1)."""
+    bound = 1
+    for norm in sorted((sum(x * x for x in row) for row in int_rows), reverse=True)[:k]:
+        bound *= norm
+    return bound
+
+
+def _key_covectors(arr: Arrangement):
+    """Residues that key the flats by their rref over F_p, with p; None over
+    Q when the Hadamard bound of the primitive integer covectors reaches
+    MODULUS, so some minor that is nonzero over Q might vanish mod p."""
+    if arr.field != QQ:
+        return arr.hyperplanes, arr.field.p
+    covs = integer_covectors(arr)
+    if hadamard_bound_sq(covs, min(arr.dim, len(covs))) >= MODULUS * MODULUS:
+        return None, None
+    return [tuple(x % MODULUS for x in cov) for cov in covs], MODULUS
+
+
+def _row_order(field, level):
+    """Sort key ordering the entries of a level by their rows (entry[0]).
+
+    Over Q the rows are cleared of one common denominator: every flat of a
+    level has as many rows, so the flattened integers sort in the same
+    order, and the sort compares ints instead of Fractions.
+    """
+    if field != QQ:
+        return lambda entry: entry[0]
+    den = lcm(*(x.denominator for entry in level for row in entry[0] for x in row))
+    return lambda entry: tuple(x.numerator * (den // x.denominator)
+                               for row in entry[0] for x in row)
+
+
 def build_lattice(arr: Arrangement, max_codim: int | None = None) -> IntersectionLattice:
     """Levels, members, and Möbius values of the intersection lattice.
 
@@ -93,41 +121,59 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     (Stanley, *Enumerative Combinatorics* I, §3.9; Orlik–Terao,
     *Arrangements of Hyperplanes*, ch. 2).  The largest h among X's pairs
     is m, so one running (h, Σμ) per flat suffices.
+
+    Pairs are keyed by the rref over F_p of their covectors.  Over Q that is
+    exact when every minor of the primitive integer covectors is below p in
+    absolute value (von zur Gathen–Gerhard, *Modern Computer Algebra*,
+    ch. 5): a minor that is nonzero over Q then stays nonzero mod p, so
+    every set of hyperplanes keeps its rank.  The rational normal space is
+    computed once per flat, from the first pair that reaches it.  When the
+    bound fails, the pairs are keyed by their rational normal spaces.
     """
     field = arr.field
     n = len(arr)
     dim = arr.dim
     limit = dim if max_codim is None else min(max_codim, dim)
+    keys, p = _key_covectors(arr)
+    separate_normals = keys is not None and field == QQ  # residues, not the normal spaces
 
-    # per level: list of (rows, pivots, member mask, Möbius value)
+    # per level: (rows, pivots, member mask, Möbius value), and the key
+    # (rows, pivots) of each flat of the last level
     levels_raw = [[((), (), 0, 1)]]
+    frontier = [((), ())]
     while len(levels_raw) - 1 < limit:
-        # normal space -> [pivots, member mask, largest h seen, Σμ over pairs with that h]
+        # key rows -> [rows, pivots, key pivots, member mask, largest h seen,
+        # Σμ over pairs with that h]
         found: dict[tuple, list] = {}
-        for rows, pivots, mask, mu in levels_raw[-1]:
+        for (rows, pivots, mask, mu), (key_rows, key_pivots) in zip(levels_raw[-1], frontier):
             # members all precede the start index, so no membership check here
             for h in range(mask.bit_length(), n):
-                extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
+                if keys is None:
+                    extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
+                else:
+                    extended = extend_rref_mod(p, key_rows, key_pivots, keys[h])
                 if extended is None:
                     continue
-                new_rows, new_pivots = extended
-                entry = found.get(new_rows)
+                new_key, new_key_pivots = extended
+                entry = found.get(new_key)
                 if entry is None:
-                    found[new_rows] = [new_pivots, mask | 1 << h, h, mu]
+                    if separate_normals:
+                        extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
+                    found[new_key] = [*extended, new_key_pivots, mask | 1 << h, h, mu]
                     continue
-                entry[1] |= mask | 1 << h
-                if h > entry[2]:
-                    entry[2] = h
-                    entry[3] = mu
-                elif h == entry[2]:
-                    entry[3] += mu
+                entry[3] |= mask | 1 << h
+                if h > entry[4]:
+                    entry[4] = h
+                    entry[5] = mu
+                elif h == entry[4]:
+                    entry[5] += mu
         if not found:
             break
-        next_level = []
-        for new_rows in sorted(found):
-            new_pivots, mask, _, mu_sum = found[new_rows]
-            next_level.append((new_rows, new_pivots, mask, -mu_sum))
-        levels_raw.append(next_level)
+        level = [(rows, pivots, mask, -mu_sum, key, key_pivots)
+                 for key, (rows, pivots, key_pivots, mask, _, mu_sum) in found.items()]
+        level.sort(key=_row_order(field, level))
+        levels_raw.append([entry[:4] for entry in level])
+        frontier = [entry[4:] for entry in level]
 
     flats = tuple(
         tuple(

@@ -64,6 +64,23 @@ def test_df_check_certificate_reverifies(tmp_path):
     assert verify_certificate(arr, cert)
 
 
+def test_verify_cert_rejects_unclosed_level(tmp_path):
+    arr_path = tmp_path / "wb4.json"
+    cert_path = tmp_path / "cert.json"
+    out = tmp_path / "verify.json"
+    assert run(["catalog", "weyl-b", "--l", "4", "--emit", str(arr_path)]) == 0
+    assert run(["df-check", str(arr_path), "--certificate", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    # any two members of a codimension-2 flat span it, so the cut list has
+    # the same closure and only the closedness check can reject it
+    members = cert["levels"][2]["members"]
+    assert len(members) > 2
+    members.pop()
+    cert_path.write_text(json.dumps(cert))
+    assert run(["verify-cert", str(arr_path), str(cert_path), "--json", str(out)]) == 2
+    assert json.loads(out.read_text()) == {"valid": False}
+
+
 def test_df_check_refuted_exit_code(tmp_path):
     arr_path = tmp_path / "xyzw.json"
     assert run(["catalog", "xyzw", "--emit", str(arr_path)]) == 0
@@ -187,11 +204,40 @@ def test_malformed_input_is_input_error(tmp_path, capsys, arrangement, certifica
     assert "Traceback" not in err
 
 
-def test_python_m_divflag():
+def _python_m(module, *argv):
     src = os.path.dirname(os.path.dirname(divflag.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-m", "divflag", "charpoly", "--catalog", "braid"],
-                            env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_divflag_cli():
+    result = _python_m("divflag.cli", "charpoly", "--catalog", "braid")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_oversized_prime_is_input_error(tmp_path, capsys):
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps({"field": {"Fp": 2**89 - 1}, "dim": 2,
+                                    "hyperplanes": [[1, 0], [0, 1]]}))
+    capsys.readouterr()
+    assert run(["charpoly", str(arr_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_mersenne_61_field(tmp_path):
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps({"field": {"Fp": 2**61 - 1}, "dim": 2,
+                                    "hyperplanes": [[1, 0], [0, 1], [1, 1]]}))
+    out = tmp_path / "chi.json"
+    assert run(["charpoly", str(arr_path), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["chi"] == [2, -3, 1]
+
+
+def test_python_m_divflag():
+    result = _python_m("divflag", "charpoly", "--catalog", "braid")
     assert result.returncode == 0, result.stderr
     assert result.stdout

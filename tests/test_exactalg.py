@@ -8,7 +8,10 @@ from divflag.exactalg import (
     Matrix,
     PrimeField,
     QQ,
+    PRIME_LIMIT,
     extend_rref,
+    extend_rref_mod,
+    is_prime,
     kernel_basis,
     matrix,
     normalize_covector,
@@ -123,6 +126,41 @@ def test_extend_rref_matches_full_rref():
         else:
             assert extended[0] == full.matrix.rows
             assert extended[1] == full.pivots
+
+
+def test_extend_rref_mod_matches_prime_field():
+    rng = random.Random(23)
+    for p in (2, 3, 7, 2**31 - 1, 2**61 - 1):
+        field = PrimeField(p)
+        for _ in range(40):
+            cols = rng.randint(2, 5)
+            base = [[rng.randrange(p) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+            extra = tuple(rng.randrange(p) for _ in range(cols))
+            r = rref(matrix(field, base, cols))
+            rows = tuple(r.matrix.rows)
+            assert extend_rref_mod(p, rows, r.pivots, extra) == \
+                extend_rref(field, rows, r.pivots, extra)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if _trial_division(n)]
+
+
+def test_is_prime_large():
+    assert not is_prime(561)  # a Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+    with pytest.raises(FieldError):
+        is_prime(PRIME_LIMIT)
+    with pytest.raises(FieldError):
+        PrimeField(2**89 - 1)
 
 
 def test_prime_field_requires_prime():

@@ -12,12 +12,15 @@ from divflag.catalog import (
     edelman_reiner_restriction,
     weyl_b,
 )
-from divflag.exactalg import QQ, PrimeField, extend_rref, reduce_against
+from divflag.exactalg import QQ, PrimeField, extend_rref, is_prime, reduce_against
 from divflag.lattice import (
+    MODULUS,
     BadPrimeError,
     EmptyArrangementError,
     build_lattice,
     char_data,
+    hadamard_bound_sq,
+    integer_covectors,
     point_count_oracle,
     rank2_flats,
     whitney_oracle,
@@ -156,6 +159,41 @@ def test_build_matches_reference_random(p):
             arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
             _assert_matches_reference(arr)
             _assert_matches_reference(arr, max_codim=rng.randint(1, 2))
+
+
+# (1, 0) and (1, MODULUS) are distinct lines that coincide mod MODULUS
+COLLIDING = [(1, 0), (1, MODULUS), (1, 1)]
+
+
+def test_modulus_is_prime():
+    assert is_prime(MODULUS)
+
+
+def test_hadamard_bound():
+    assert hadamard_bound_sq(integer_covectors(weyl_b(6)), 6) == 64
+    arr = make_arrangement(QQ, 2, COLLIDING)
+    assert hadamard_bound_sq(integer_covectors(arr), 2) >= MODULUS * MODULUS
+
+
+def test_build_keeps_lines_that_collide_mod_p():
+    arr = make_arrangement(QQ, 2, COLLIDING)
+    _assert_matches_reference(arr)
+    assert build_lattice(arr).level_sizes() == (1, 3, 1)
+
+
+def test_build_matches_reference_wide_coefficients():
+    # entries up to 10^6 put the Hadamard bound on both sides of MODULUS^2
+    rng = random.Random(89)
+    sides = set()
+    for dim in range(3, 6):
+        for _ in range(12):
+            bound = 10 ** rng.randint(1, 6)
+            arr = random_arrangement(rng, dim, rng.randint(dim, dim + 4),
+                                     coeff_lo=-bound, coeff_hi=bound)
+            ints = integer_covectors(arr)
+            sides.add(hadamard_bound_sq(ints, min(dim, len(ints))) < MODULUS * MODULUS)
+            _assert_matches_reference(arr)
+    assert sides == {True, False}
 
 
 def test_covers_step_one_codim():
