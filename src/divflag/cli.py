@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -77,16 +76,6 @@ def _resolve_arrangement(args) -> Arrangement:
     if not args.input:
         raise SchemaError("an input file or --catalog is required")
     return load_arrangement(args.input)
-
-
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        value = os.environ.get("DIVFLAG_THREADS", "1")
-    n = int(value)
-    if n < 1:
-        raise SchemaError("--threads must be a positive integer")
-    return n
 
 
 def _emit(args, report: dict) -> None:
@@ -354,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice computations and freeness certification "
         "for central hyperplane arrangements.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint (execution is deterministic; "
-                        "defaults to DIVFLAG_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, extra in (
@@ -413,8 +399,6 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if hasattr(args, "threads"):
-            _threads(args)
         return args.fn(args)
     except (SchemaError, CatalogError, BadPrimeError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,16 @@
 Scalars are plain values: ``fractions.Fraction`` over Q (always in lowest
 terms with positive denominator), canonical residues in ``[0, p)`` over F_p.
 Field objects supply the arithmetic so the matrix routines stay field
-generic; everything is immutable and deterministic.
+generic, except that reduced row echelon forms over Q are computed by
+fraction-free elimination on integers; everything is immutable and
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 # PEP 604 unions: typing.Union would keep the classes in typing's cache, and
@@ -207,6 +210,8 @@ class RrefResult(NamedTuple):
 
 def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
     """Reduced row echelon form on raw rows; returns (rows, pivots)."""
+    if field.kind == "Q":
+        return _rref_rows_q(rows, ncols)
     work = [list(r) for r in rows]
     zero = field.zero
     sub, mul, inv = field.sub, field.mul, field.inv
@@ -237,6 +242,52 @@ def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
         if pr == len(work):
             break
     reduced = tuple(tuple(work[r]) for r in range(pr))
+    return reduced, tuple(pivots)
+
+
+def _rref_rows_q(rows: Sequence[Sequence[Scalar]], ncols: int):
+    """``_rref_rows`` over Q by fraction-free Gauss-Jordan elimination.
+
+    Rows are scaled to integers; each elimination cross-multiplies with the
+    gcd of the two entries cancelled, ``(a/g)*other - (f/g)*row``, and
+    divides the new row by its content, so no ``Fraction`` is built until
+    each pivot row is divided by its pivot at the end.  The result equals
+    the field-generic loop's by uniqueness of the reduced echelon form.
+    """
+    work = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        ints = [x.numerator * (den // x.denominator) for x in r]
+        if any(ints):
+            work.append(ints)
+    pivots = []
+    pr = 0
+    for c in range(ncols):
+        if pr == len(work):
+            break
+        for r in range(pr, len(work)):
+            if work[r][c]:
+                break
+        else:
+            continue
+        work[pr], work[r] = work[r], work[pr]
+        row = work[pr]
+        a = row[c]
+        for r, other in enumerate(work):
+            f = other[c]
+            if f and r != pr:
+                g = gcd(a, f)
+                a_g, f_g = a // g, f // g
+                new = [a_g * x - f_g * y for x, y in zip(other, row)]
+                content = gcd(*new)
+                if content > 1:  # 0 when the row became zero
+                    new = [x // content for x in new]
+                work[r] = new
+        pivots.append(c)
+        pr += 1
+    reduced = tuple(
+        tuple(Fraction(x, work[i][c]) for x in work[i]) for i, c in enumerate(pivots)
+    )
     return reduced, tuple(pivots)
 
 

@@ -73,7 +73,7 @@ def poly_to_json(f: intpoly.IntPoly) -> list[int]:
 
 
 def poly_from_json(data) -> intpoly.IntPoly:
-    if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+    if not isinstance(data, list) or not all(_is_int(c) for c in data):
         raise SchemaError("polynomial must be a list of integer coefficients")
     return intpoly.poly(data)
 

@@ -3,9 +3,11 @@ rank-2 multiarrangements, the local-global second Betti number, remainder
 divisions, and the exact rank-3 freeness decision.
 
 Rank-2 exponents are the workhorse.  When the total multiplicity is small
-(|m| <= 2|A| - 1) they are given by a closed form; otherwise they are found
-degree by degree as the kernel of an exact linear system and certified by
-the Saito determinant condition.
+(|m| <= 2|A| - 1) they are given by a closed form.  Otherwise a rank-2
+multiarrangement is free (Ziegler), so the dimension of one kernel of the
+exact linear system for derivations, at degree ceil(|m|/2) - 1, gives both
+exponents; a generator is then solved at each exponent degree and the pair
+is certified by the Saito determinant condition.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .arrangement import (
     rank_of,
     restrict_to_hyperplane,
 )
-from .exactalg import Field, kernel_basis, matrix, _rref_rows
+from .exactalg import Field, extend_rref, kernel_basis, matrix, normalize_covector, _rref_rows
 from .lattice import char_data, rank2_flats
 
 
@@ -85,8 +87,6 @@ def _two_coordinates(arr: Arrangement) -> list[tuple]:
     rows, pivots = _rref_rows(arr.field, arr.hyperplanes, arr.dim)
     if len(pivots) != 2:
         raise ValueError(f"expected a rank-2 arrangement, got rank {len(pivots)}")
-    from .exactalg import normalize_covector
-
     return [normalize_covector(arr.field, (cov[pivots[0]], cov[pivots[1]])) for cov in arr.hyperplanes]
 
 
@@ -196,10 +196,13 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     """Exact exponents of a rank-2 multiarrangement.
 
     Fast path: when |m| <= 2|A| - 1 the exponents are
-    (|m| - |A| + 1, |A| - 1).  Otherwise derivations are found degree by
-    degree; the second generator is the first kernel element independent of
-    the polynomial multiples of the first, and the pair is verified against
-    the Saito determinant condition.
+    (|m| - |A| + 1, |A| - 1).  Otherwise one kernel count settles them: the
+    multiarrangement is free with d1 <= d2 and d1 + d2 = |m|, so at
+    d = ceil(|m|/2) - 1 < d2 the kernel has dimension k = max(0, d - d1 + 1);
+    k > 0 gives d1 = d - k + 1, and k = 0 gives d1 = d2 = |m|/2.  The first
+    generator is the first kernel vector at d1, the second the first kernel
+    vector at d2 independent of the polynomial multiples of the first, and
+    the pair is certified by the Saito determinant condition.
     """
     arr = ma.base
     field = arr.field
@@ -211,27 +214,24 @@ def exp2(ma: MultiArrangement) -> Exponents2:
         lo, hi = sorted((total - n + 1, n - 1))
         return Exponents2(lo, hi)
 
-    d1 = None
-    theta1 = None
-    d = 0
-    while d <= total:
-        kernel = _derivation_kernel(field, pairs, mults, d)
-        if d1 is None:
-            if kernel:
-                d1 = d
-                theta1 = kernel[0]
-                if len(kernel) >= 2:
-                    theta2 = _independent_second(field, theta1, d1, kernel, d)
-                    if theta2 is not None:
-                        return _finish_exp2(field, theta1, d1, theta2, d, pairs, mults, total)
-        else:
-            expected_multiples = d - d1 + 1
-            if len(kernel) > expected_multiples:
-                theta2 = _independent_second(field, theta1, d1, kernel, d)
-                if theta2 is not None:
-                    return _finish_exp2(field, theta1, d1, theta2, d, pairs, mults, total)
-        d += 1
-    raise AssertionError("rank-2 exponent search exceeded the total multiplicity bound")
+    d = (total + 1) // 2 - 1
+    kernel = _derivation_kernel(field, pairs, mults, d)
+    if kernel:
+        d1 = d - len(kernel) + 1
+    elif total % 2:
+        raise AssertionError(
+            f"no derivation of degree {d} below the odd total multiplicity {total}"
+        )
+    else:
+        d1 = total // 2
+    d2 = total - d1
+    if d1 != d:
+        kernel = _derivation_kernel(field, pairs, mults, d1)
+    theta1 = kernel[0]
+    if d2 != d1:
+        kernel = _derivation_kernel(field, pairs, mults, d2)
+    theta2 = _independent_second(field, theta1, d1, kernel, d2)
+    return _finish_exp2(field, theta1, d1, theta2, d2, pairs, mults, total)
 
 
 def _shift_theta(field: Field, theta, d_from: int, d_to: int, offset: int):
@@ -249,8 +249,6 @@ def _shift_theta(field: Field, theta, d_from: int, d_to: int, offset: int):
 def _independent_second(field: Field, theta1, d1, kernel, d):
     multiples = [_shift_theta(field, theta1, d1, d, off) for off in range(d - d1 + 1)]
     span_rows, span_pivots = _rref_rows(field, multiples, 2 * (d + 1))
-    from .exactalg import extend_rref
-
     for vec in kernel:
         if extend_rref(field, span_rows, span_pivots, vec) is not None:
             return vec

@@ -81,6 +81,23 @@ def test_verify_cert_rejects_unclosed_level(tmp_path):
     assert json.loads(out.read_text()) == {"valid": False}
 
 
+def test_verify_cert_rejects_bool_charpoly(tmp_path, capsys):
+    arr_path = tmp_path / "wb4.json"
+    cert_path = tmp_path / "cert.json"
+    assert run(["catalog", "weyl-b", "--l", "4", "--emit", str(arr_path)]) == 0
+    assert run(["df-check", str(arr_path), "--certificate", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    # JSON true reads as a Python bool, which is an int equal to 1
+    assert cert["levels"][0]["charpoly"][-1] == 1
+    cert["levels"][0]["charpoly"][-1] = True
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify-cert", str(arr_path), str(cert_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_df_check_refuted_exit_code(tmp_path):
     arr_path = tmp_path / "xyzw.json"
     assert run(["catalog", "xyzw", "--emit", str(arr_path)]) == 0
@@ -149,13 +166,6 @@ def test_lattice_report(tmp_path):
     assert report["level_sizes"] == [1, 3, 3, 1]
     assert report["chi"] == [-1, 3, -3, 1]
     assert len(report["flats"]) == 8
-
-
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("DIVFLAG_THREADS", "2")
-    assert run(["charpoly", "--catalog", "boolean", "--l", "2"]) == 0
-    monkeypatch.setenv("DIVFLAG_THREADS", "0")
-    assert run(["charpoly", "--catalog", "boolean", "--l", "2"]) == 1
 
 
 ER_FLAG_TOP = {"members": [], "charpoly": [0, 0, 0, 0, 1]}

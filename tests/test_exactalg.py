@@ -16,6 +16,7 @@ from divflag.exactalg import (
     matrix,
     normalize_covector,
     rref,
+    _rref_rows,
 )
 
 
@@ -49,6 +50,84 @@ def test_rref_idempotent_random():
         r1 = rref(matrix(QQ, rows, 4))
         r2 = rref(r1.matrix)
         assert r1.matrix == r2.matrix
+
+
+def _reference_rref_rows(rows, ncols):
+    """The field-generic Gauss-Jordan loop of ``_rref_rows`` run over Q on
+    ``Fraction`` entries, which the fraction-free elimination replaced."""
+    field = QQ
+    work = [list(r) for r in rows]
+    zero = field.zero
+    sub, mul, inv = field.sub, field.mul, field.inv
+    pivots = []
+    pr = 0
+    for c in range(ncols):
+        pivot = None
+        for r in range(pr, len(work)):
+            if work[r][c] != zero:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[pr], work[pivot] = work[pivot], work[pr]
+        row = work[pr]
+        scale = inv(row[c])
+        if scale != field.one:
+            work[pr] = row = [mul(scale, x) for x in row]
+        for r in range(len(work)):
+            if r == pr:
+                continue
+            factor = work[r][c]
+            if factor != zero:
+                other = work[r]
+                work[r] = [sub(other[j], mul(factor, row[j])) for j in range(ncols)]
+        pivots.append(c)
+        pr += 1
+        if pr == len(work):
+            break
+    return tuple(tuple(work[r]) for r in range(pr)), tuple(pivots)
+
+
+def _random_rational(rng):
+    roll = rng.random()
+    if roll < 0.35:
+        return Fraction(0)
+    if roll < 0.7:
+        return Fraction(rng.randint(-6, 6))
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+def test_rref_rows_q_matches_fraction_elimination(shape):
+    rng = random.Random({"square": 29, "tall": 31, "wide": 37}[shape])
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        nrows, ncols = {"square": (k, k), "tall": (k + rng.randint(1, 6), k),
+                        "wide": (k, k + rng.randint(1, 8))}[shape]
+        rows = [[_random_rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.4:  # a proportional row and a zero row
+            rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) * x for x in rows[0]])
+            rows.append([Fraction(0)] * ncols)
+            rng.shuffle(rows)
+        assert _rref_rows(QQ, rows, ncols) == _reference_rref_rows(rows, ncols)
+
+
+def test_rref_rows_q_edge_cases():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        ([], 3),
+        ([[Fraction(0)] * 4] * 3, 4),
+        ([[half, third], [Fraction(3), Fraction(2)]], 2),  # proportional, non-integer
+        ([[Fraction(0), half], [third, Fraction(0)]], 2),  # pivot swap
+        ([[Fraction(-7, 3)]], 1),
+        ([[Fraction(10**30, 7), Fraction(1, 10**20)], [Fraction(1), Fraction(-1, 3)]], 2),
+    ]
+    for rows, ncols in cases:
+        result = _rref_rows(QQ, rows, ncols)
+        assert result == _reference_rref_rows(rows, ncols)
+        assert all(type(x) is Fraction for row in result[0] for x in row)
+    assert _rref_rows(QQ, [[half, third], [Fraction(3), Fraction(2)]], 2) == \
+        (((Fraction(1), Fraction(2, 3)),), (0,))
 
 
 def test_kernel_identity_empty():

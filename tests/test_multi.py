@@ -12,7 +12,8 @@ from divflag.catalog import (
     xyzw_example,
     xyzw_restriction,
 )
-from divflag.exactalg import QQ
+from divflag import multi
+from divflag.exactalg import PrimeField, QQ
 from divflag.lattice import char_data
 from divflag.multi import (
     MultiArrangement,
@@ -103,6 +104,88 @@ def test_exp2_embedded_rank2():
     # rank-2 arrangement sitting inside dim 4 gets essentialized first
     arr = make_arrangement(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
     assert tuple(exp2(constant_multiplicity(arr))) == (1, 2)
+
+
+def _reference_exp2(ma):
+    """The degree-by-degree scan that exp2's one-kernel rule replaced: d1 is
+    the first degree with a derivation, d2 the first degree whose kernel
+    outgrows the polynomial multiples of the first generator."""
+    field = ma.base.field
+    n = len(ma.base)
+    mults = ma.mult.values
+    total = ma.mult.total
+    pairs = multi._two_coordinates(ma.base)
+    if total <= 2 * n - 1:
+        lo, hi = sorted((total - n + 1, n - 1))
+        return multi.Exponents2(lo, hi)
+    d1 = None
+    theta1 = None
+    d = 0
+    while d <= total:
+        kernel = multi._derivation_kernel(field, pairs, mults, d)
+        if d1 is None:
+            if kernel:
+                d1 = d
+                theta1 = kernel[0]
+                if len(kernel) >= 2:
+                    theta2 = multi._independent_second(field, theta1, d1, kernel, d)
+                    if theta2 is not None:
+                        return multi._finish_exp2(field, theta1, d1, theta2, d, pairs, mults, total)
+        else:
+            expected_multiples = d - d1 + 1
+            if len(kernel) > expected_multiples:
+                theta2 = multi._independent_second(field, theta1, d1, kernel, d)
+                if theta2 is not None:
+                    return multi._finish_exp2(field, theta1, d1, theta2, d, pairs, mults, total)
+        d += 1
+    raise AssertionError("rank-2 exponent search exceeded the total multiplicity bound")
+
+
+def _solver_regime(ma, exponents):
+    """Which case of the one-kernel rule decides a multiarrangement past the
+    closed form: the kernel at ceil(|m|/2) - 1 is empty, or d1 is that degree,
+    or d1 lies below it."""
+    d = (ma.mult.total + 1) // 2 - 1
+    d1 = exponents.d1
+    return "balanced" if d1 > d else ("at" if d1 == d else "below")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7), PrimeField(101)],
+                         ids=["Q", "F5", "F7", "F101"])
+def test_exp2_matches_reference_scan(field):
+    # primes with at least 6 points on the projective line: the generator
+    # needs as many distinct lines as it draws
+    rng = random.Random(163 if field == QQ else 163 + field.p)
+    regimes = set()
+    for _ in range(60):
+        ma = random_rank2_multi(rng, field=field, max_mult=6)
+        expected = _reference_exp2(ma)
+        assert exp2(ma) == expected
+        if ma.mult.total > 2 * len(ma.base) - 1:
+            regimes.add(_solver_regime(ma, expected))
+    assert regimes == {"balanced", "at", "below"}
+
+
+@pytest.mark.parametrize("lines,mults", [
+    ([(1, 0), (0, 1), (1, 1)], (4, 4, 4)),  # balanced
+    ([(1, 0), (0, 1), (1, 1), (1, -1)], (3, 3, 3, 3)),  # balanced
+    ([(1, 0), (0, 1), (1, 1)], (9, 1, 1)),  # dominant
+    ([(1, 0), (0, 1), (1, 1), (1, 2)], (10, 2, 1, 1)),  # dominant
+    ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)], (8,) * 5),
+    ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)], (1, 2, 3, 4, 5)),
+])
+def test_exp2_matches_reference_named(lines, mults):
+    ma = MultiArrangement(_lines(*lines), Multiplicity(mults))
+    assert exp2(ma) == _reference_exp2(ma)
+
+
+def test_exp2_inconsistent_kernel_raises(monkeypatch):
+    # an empty kernel below an odd total multiplicity contradicts freeness;
+    # it must raise even under python -O
+    monkeypatch.setattr(multi, "_derivation_kernel", lambda *args: [])
+    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((5, 1, 1)))
+    with pytest.raises(AssertionError, match="odd total multiplicity"):
+        exp2(ma)
 
 
 def test_euler_mult_examples():
