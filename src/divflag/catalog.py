@@ -76,10 +76,6 @@ class RootSystemSpec:
         return tuple(roots)
 
 
-def root_system(type: str, rank: int) -> RootSystemSpec:
-    return RootSystemSpec(type, rank)
-
-
 def boolean(rank: int) -> Arrangement:
     if rank < 1:
         raise CatalogError("boolean arrangement needs rank >= 1")
@@ -303,7 +299,7 @@ class CatalogEntry:
     """A named arrangement with optional expected data for cross-checks."""
 
     name: str
-    arrangement: object
+    arrangement: Arrangement
     expected_chi: intpoly.IntPoly | None = None
     expected_exponents: tuple[int, ...] | None = None
     provenance: str = ""
@@ -386,7 +382,7 @@ def build_entry(name: str, **params) -> CatalogEntry:
         p = params.get("p", 31)
         return CatalogEntry(
             name=f"pentagon-cone-p{p}",
-            arrangement=pentagon_cone(p),
+            arrangement=pentagon_cone(p).arrangement,
             expected_exponents=(1, 1, 5, 5),
             provenance="closed-form",
         )

@@ -14,9 +14,9 @@ import random
 import sys
 
 from . import intpoly
-from .arrangement import Arrangement
-from .catalog import CATALOG_NAMES, CatalogError, build_entry
-from .exactalg import QQ, FieldError
+from .arrangement import Arrangement, make_arrangement
+from .catalog import CATALOG_NAMES, CatalogEntry, CatalogError, build_entry
+from .exactalg import QQ, FieldError, normalize_covector
 from .freeness import (
     IF_CERTIFIED,
     division_equivalences,
@@ -53,26 +53,16 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", dest="json_out", metavar="OUT", help="write a JSON report")
 
 
+def _catalog_entry(name: str, args) -> CatalogEntry:
+    return build_entry(name, **{key: getattr(args, key) for key in ("rank", "k", "r", "p", "roots")
+                                if getattr(args, key) is not None})
+
+
 def _resolve_arrangement(args) -> Arrangement:
     if args.catalog and args.input:
         raise SchemaError("give either an input file or --catalog, not both")
     if args.catalog:
-        params = {}
-        if args.rank is not None:
-            params["rank"] = args.rank
-        if args.k is not None:
-            params["k"] = args.k
-        if args.r is not None:
-            params["r"] = args.r
-        if args.p is not None:
-            params["p"] = args.p
-        if args.roots is not None:
-            params["roots"] = args.roots
-        entry = build_entry(args.catalog, **params)
-        arrangement = entry.arrangement
-        if hasattr(arrangement, "arrangement"):  # pentagon returns extra data
-            arrangement = arrangement.arrangement
-        return arrangement
+        return _catalog_entry(args.catalog, args).arrangement
     if not args.input:
         raise SchemaError("an input file or --catalog is required")
     return load_arrangement(args.input)
@@ -250,21 +240,8 @@ def _cmd_same_eq(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    params = {}
-    if args.rank is not None:
-        params["rank"] = args.rank
-    if args.k is not None:
-        params["k"] = args.k
-    if args.r is not None:
-        params["r"] = args.r
-    if args.p is not None:
-        params["p"] = args.p
-    if args.roots is not None:
-        params["roots"] = args.roots
-    entry = build_entry(args.name, **params)
+    entry = _catalog_entry(args.name, args)
     arrangement = entry.arrangement
-    if hasattr(arrangement, "arrangement"):
-        arrangement = arrangement.arrangement
     print(f"{entry.name}: {len(arrangement)} hyperplanes in dim {arrangement.dim}")
     if args.emit:
         save_json(args.emit, arrangement_to_json(arrangement))
@@ -303,11 +280,7 @@ def _cmd_oracle_verify(args) -> int:
             while len(covs) < n:
                 cov = tuple(rng.randint(-2, 2) for _ in range(dim))
                 if any(cov):
-                    from .exactalg import normalize_covector
-
                     covs.add(normalize_covector(QQ, cov))
-            from .arrangement import make_arrangement
-
             arr = make_arrangement(QQ, dim, sorted(covs))
             failures = _oracle_verify_one(arr, primes)
             reports.extend(failures)

@@ -10,7 +10,6 @@ number characterization, inductive freeness, and the rank-3 shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import intpoly
 from .arrangement import (
@@ -20,13 +19,10 @@ from .arrangement import (
     canonical_key,
     deletion,
     essentialize,
-    flat_from_members,
     rank_of,
-    restriction,
     restrict_to_hyperplane,
-    top_flat,
 )
-from .lattice import build_lattice, char_data
+from .lattice import IntersectionLattice, build_lattice, char_data
 from .multi import free3_decide
 
 
@@ -45,27 +41,31 @@ class DivisionalFlag:
     exponents: tuple[int, ...] | None
 
     def verify(self, arr: Arrangement) -> bool:
-        """Recompute the chain from scratch and check the stored data."""
-        if not self.flats or self.flats[0].members != ():
-            return False
-        rebuilt = []
+        """Check the chain on one build of L(A): each level lists, in
+        increasing order, the closed member set of a flat of its codimension
+        inside the previous one; the chain ends where the search ends and
+        not before; and the charpolys are the restrictions' and divide
+        consecutively."""
+        lattice = build_lattice(arr)
+        ids: list[tuple[int, int]] = []
         for i, flat in enumerate(self.flats):
-            closed = flat_from_members(arr, flat.members)
-            if closed.codim != i or closed.members != flat.members:
+            members = list(flat.members)
+            if members != sorted(set(members)) or any(h < 0 for h in members):
                 return False
-            if i > 0 and not set(self.flats[i - 1].members) <= set(flat.members):
+            where = lattice.locate(members)
+            if where is None or where[0] != i or ids and lattice.mask(*ids[-1]) & ~lattice.mask(*where):
                 return False
-            rebuilt.append(closed)
-        polys = tuple(
-            char_data(arr if i == 0 else restriction(arr, flat).arrangement).chi
-            for i, flat in enumerate(rebuilt)
-        )
-        if polys != self.charpolys:
+            ids.append(where)
+        if [_flag_ends(lattice, *where) for where in ids] != [False] * (len(ids) - 1) + [True]:
             return False
-        for i in range(len(polys) - 1):
-            if not intpoly.divides(polys[i + 1], polys[i]):
-                return False
-        return True
+        polys = tuple(lattice.restriction_chi(*where) for where in ids)
+        return polys == self.charpolys and all(
+            intpoly.divides(polys[i + 1], polys[i]) for i in range(len(polys) - 1))
+
+
+def _flag_ends(lattice: IntersectionLattice, level: int, index: int) -> bool:
+    """A flag stops at X when A^X has dimension at most two or no hyperplanes."""
+    return lattice.arrangement.dim - level <= 2 or not lattice.covers[level][index]
 
 
 class _ChiCache:
@@ -83,13 +83,12 @@ class _ChiCache:
         return val
 
 
-def division_check(arr: Arrangement, h: int, _cache: _ChiCache | None = None) -> bool:
+def division_check(arr: Arrangement, h: int) -> bool:
     """Does the restriction's charpoly divide the full one at hyperplane h?"""
     if len(arr) == 0:
         raise ValueError("division check needs a nonempty arrangement")
-    cache = _cache or _ChiCache()
     restricted, _ = restrict_to_hyperplane(arr, h)
-    return intpoly.divides(cache.chi(restricted), cache.chi(arr))
+    return intpoly.divides(char_data(restricted).chi, char_data(arr).chi)
 
 
 def _ordered_hyperplanes(arr: Arrangement):
@@ -104,58 +103,52 @@ def _ordered_hyperplanes(arr: Arrangement):
 
 
 class _FlagSearch:
-    def __init__(self):
-        self.cache = _ChiCache()
-        self.memo: dict[tuple, tuple[int, ...] | None] = {}
+    """Divisional-flag search on the intervals of one lattice, memoized by
+    the member mask of each flat."""
 
-    def search(self, arr: Arrangement):
-        """Chain of per-level hyperplane indices, or None when no divisional
-        flag exists.  Memoized on the structural key of each restriction."""
-        if arr.dim <= 2 or len(arr) == 0:
+    def __init__(self, lattice: IntersectionLattice):
+        self.lattice = lattice
+        self.memo: dict[int, tuple[tuple[int, int], ...] | None] = {}
+
+    def search(self, level: int, index: int):
+        """Chain of (level, index) flats below X = levels[level][index] with
+        consecutively dividing charpolys, or None when A^X has no divisional
+        flag.  Candidates are the covers Y of X by decreasing |A^Y|, then by
+        min(members Y − members X), which is the order in which
+        ``restriction`` numbers the hyperplanes of A^X (a heuristic only; the
+        search stays exhaustive)."""
+        lat = self.lattice
+        if _flag_ends(lat, level, index):
             return ()
-        key = canonical_key(arr)
-        if key in self.memo:
-            return self.memo[key]
-        chi = self.cache.chi(arr)
-        result = None
-        for h, restricted in _ordered_hyperplanes(arr):
-            if not intpoly.divides(self.cache.chi(restricted), chi):
-                continue
-            tail = self.search(restricted)
-            if tail is not None:
-                result = (h,) + tail
-                break
-        self.memo[key] = result
-        return result
+        base = lat.mask(level, index)
+        if base not in self.memo:
+            chi = lat.restriction_chi(level, index)
+
+            def order(k):
+                new = lat.mask(level + 1, k) & ~base
+                return -len(lat.covers[level + 1][k]), new & -new
+
+            self.memo[base] = None
+            for k in sorted(lat.covers[level][index], key=order):
+                if intpoly.divides(lat.restriction_chi(level + 1, k), chi):
+                    tail = self.search(level + 1, k)
+                    if tail is not None:
+                        self.memo[base] = ((level + 1, k),) + tail
+                        break
+        return self.memo[base]
 
 
 def divisional_flag_search(arr: Arrangement) -> DivisionalFlag | None:
     """Exhaustive memoized search for a divisional flag; None means the
     arrangement is not divisionally free."""
-    search = _FlagSearch()
-    chain = search.search(arr)
+    lattice = build_lattice(arr)
+    chain = _FlagSearch(lattice).search(0, 0)
     if chain is None:
         return None
-    return _flag_from_chain(arr, chain, search.cache)
-
-
-def _flag_from_chain(arr: Arrangement, chain: Sequence[int], cache: _ChiCache) -> DivisionalFlag:
-    flats = [top_flat(arr)]
-    charpolys = [cache.chi(arr)]
-    current = arr
-    reps = list(range(len(arr)))  # representative index in arr per current hyperplane
-    members: set[int] = set()
-    for k in chain:
-        members.add(reps[k])
-        flat = flat_from_members(arr, members)
-        flats.append(flat)
-        restricted, trace = restrict_to_hyperplane(current, k)
-        charpolys.append(cache.chi(restricted))
-        reps = [reps[t[0]] for t in trace]
-        current = restricted
-        members = set(flat.members)
-    chi = charpolys[0]
-    return DivisionalFlag(tuple(flats), tuple(charpolys), intpoly.linear_roots(chi))
+    ids = ((0, 0),) + chain
+    charpolys = tuple(lattice.restriction_chi(*where) for where in ids)
+    flats = tuple(lattice.levels[level][index] for level, index in ids)
+    return DivisionalFlag(flats, charpolys, intpoly.linear_roots(charpolys[0]))
 
 
 def _flag_flats(arr: Arrangement, flag) -> tuple[Flat, ...]:
@@ -172,25 +165,19 @@ def _flag_flats(arr: Arrangement, flag) -> tuple[Flat, ...]:
     return flats
 
 
-def _restriction_sizes(arr: Arrangement, flats: Sequence[Flat]) -> list[int]:
-    sizes = []
-    for flat in flats:
-        if flat.codim == 0:
-            sizes.append(len(arr))
-        else:
-            sizes.append(len(restriction(arr, flat).arrangement))
-    return sizes
-
-
 def flag_b2_bound(arr: Arrangement, flag) -> tuple[int, int]:
     """Both sides of the flag inequality: b2 after deconing against the
     telescoping sum of restriction sizes along the flag."""
     flats = _flag_flats(arr, flag)
-    sizes = _restriction_sizes(arr, flats)
+    lattice = build_lattice(arr)
+    where = [lattice.locate(flat.members) for flat in flats]
+    if None in where:
+        raise ValueError("flag member lists must be closed")
+    sizes = [len(lattice.covers[level][index]) for level, index in where]
     rhs = 0
     for i in range(len(flats) - 1):
         rhs += (sizes[i] - sizes[i + 1]) * (sizes[i + 1] - 1)
-    lhs = char_data(arr).b2_dec
+    lhs = char_data(arr, lattice).b2_dec
     if lhs < rhs:
         raise AssertionError(f"flag inequality violated: {lhs} < {rhs}")
     return lhs, rhs
@@ -345,18 +332,13 @@ def inductively_free(arr: Arrangement, budget: int = 200_000) -> IFResult:
 
 def hereditarily_df(arr: Arrangement):
     """Divisional flag search on the restriction to every positive-
-    dimensional flat; returns (all_pass, failing flats)."""
-    search = _FlagSearch()
-    failing = []
+    dimensional flat, one search over the intervals of L(A); returns
+    (all_pass, failing flats)."""
     lattice = build_lattice(arr)
-    for level in lattice.levels:
-        for flat in level:
-            if arr.dim - flat.codim < 1:
-                continue
-            sub = arr if flat.codim == 0 else restriction(arr, flat).arrangement
-            if search.search(sub) is None:
-                failing.append(flat)
-    return (not failing, tuple(failing))
+    search = _FlagSearch(lattice)
+    failing = tuple(flat for level, flats in enumerate(lattice.levels[:arr.dim])
+                    for index, flat in enumerate(flats) if search.search(level, index) is None)
+    return (not failing, failing)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,11 @@ class IntersectionLattice:
     mobius: tuple[tuple[int, ...], ...]
     complete: bool
     _masks: tuple[tuple[int, ...], ...]
-    _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = dc_field(default=None, repr=False)
+    _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = dc_field(
+        default=None, repr=False, compare=False)
+    _where: dict[int, tuple[int, int]] | None = dc_field(default=None, repr=False, compare=False)
+    _chis: dict[tuple[int, int], intpoly.IntPoly] = dc_field(
+        default_factory=dict, repr=False, compare=False)
 
     def level_sizes(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
@@ -53,21 +57,66 @@ class IntersectionLattice:
         for level in self.levels:
             yield from level
 
+    def mask(self, level: int, index: int) -> int:
+        return self._masks[level][index]
+
+    def locate(self, members) -> tuple[int, int] | None:
+        """(level, index) of the flat with exactly these members, or None."""
+        if self._where is None:  # member bitmask -> (level, index)
+            self._where = {m: (level, index) for level, masks in enumerate(self._masks)
+                           for index, m in enumerate(masks)}
+        return self._where.get(sum(1 << h for h in set(members)))
+
     @property
     def covers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """covers[i][j] = indices k at level i+1 with levels[i][j] covered by levels[i+1][k]."""
+        """covers[i][j] = indices k at level i+1 with levels[i][j] covered by
+        levels[i+1][k], ascending; their number is |A^X| for X = levels[i][j].
+        Only the upper flats in the smallest member bucket of X are tested."""
         if self._covers is None:
             out = []
             for i in range(len(self.levels) - 1):
-                lower = self._masks[i]
                 upper = self._masks[i + 1]
+                buckets: list[list[int]] = [[] for _ in self.arrangement.hyperplanes]
+                for k, flat in enumerate(self.levels[i + 1]):
+                    for h in flat.members:
+                        buckets[h].append(k)
                 out.append(tuple(
-                    tuple(k for k, um in enumerate(upper) if lm & um == lm)
-                    for lm in lower
+                    tuple(k for k in min((buckets[h] for h in flat.members), key=len)
+                          if upper[k] & lm == lm) if flat.members else tuple(range(len(upper)))
+                    for flat, lm in zip(self.levels[i], self._masks[i])
                 ))
             out.append(tuple(() for _ in self.levels[-1]))
             self._covers = tuple(out)
         return self._covers
+
+    def restriction_chi(self, level: int, index: int) -> intpoly.IntPoly:
+        """χ(A^X; t) = Σ_{Z ≥ X} μ(X, Z) t^{dim Z} for X = levels[level][index],
+        on the interval [X, V] that is the lattice of A^X.  Weisner's theorem
+        with the atom of h = max(members Z − members X) gives μ(X, Z) =
+        −Σ μ(X, W) over the W ⋖ Z with W ≥ X and h ∉ W, as in ``build_lattice``
+        (which is the case X = V)."""
+        chi = self._chis.get((level, index))
+        if chi is None:
+            if not self.complete:
+                raise ValueError("restriction_chi needs the complete lattice")
+            dim, base = self.arrangement.dim, self._masks[level][index]
+            coeffs = [0] * (dim - level + 1)
+            coeffs[dim - level] = 1
+            current = {index: 1}  # μ(X, W) over the interval's flats W of one level
+            for lvl in range(level, len(self.levels) - 1):
+                lower, upper = self._masks[lvl], self._masks[lvl + 1]
+                atoms: dict[int, int] = {}  # upper flat -> bit of its h
+                sums: dict[int, int] = {}
+                for w, mu in current.items():
+                    for z in self.covers[lvl][w]:
+                        if z not in atoms:
+                            atoms[z] = 1 << (upper[z] & ~base).bit_length() - 1
+                        if not lower[w] & atoms[z]:
+                            sums[z] = sums.get(z, 0) + mu
+                current = {z: -s for z, s in sums.items()}
+                coeffs[dim - lvl - 1] = sum(current.values())
+            chi = self._chis[level, index] = intpoly.poly(coeffs)
+        return chi
 
 
 def hadamard_bound_sq(int_rows, k: int) -> int:

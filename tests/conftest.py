@@ -14,8 +14,11 @@ def random_arrangement(rng: random.Random, dim: int, n: int, field=QQ,
     """n distinct random hyperplanes with small integer covectors.
 
     The coefficient range widens automatically when the requested count
-    exceeds the directions available in the initial box.
+    exceeds the directions available in the initial box.  Over F_q at most
+    (q^dim - 1)/(q - 1) hyperplanes exist; asking for more is a ValueError.
     """
+    if field != QQ and n > (field.p ** dim - 1) // (field.p - 1):
+        raise ValueError(f"F_{field.p}^{dim} has fewer than {n} hyperplanes")
     covs = set()
     attempts = 0
     while len(covs) < n:

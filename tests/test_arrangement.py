@@ -20,7 +20,7 @@ from divflag.arrangement import (
     triple,
 )
 from divflag.catalog import boolean, edelman_reiner_restriction, pentagon_cone, xyzw_example
-from divflag.exactalg import QQ, _rref_rows
+from divflag.exactalg import QQ, PrimeField, _rref_rows
 from divflag.lattice import build_lattice, char_data
 
 from conftest import random_arrangement
@@ -213,3 +213,11 @@ def test_hyperplane_flat():
     flat = hyperplane_flat(arr, 1)
     assert flat.codim == 1
     assert flat.members == (1,)
+
+
+def test_random_arrangement_rejects_more_lines_than_exist():
+    # the projective line over F_3 has 4 points: 5 distinct lines do not exist
+    f3 = PrimeField(3)
+    assert len(random_arrangement(random.Random(0), 2, 4, field=f3)) == 4
+    with pytest.raises(ValueError):
+        random_arrangement(random.Random(0), 2, 5, field=f3)

@@ -14,7 +14,8 @@ from divflag.jsonio import (
     load_arrangement,
     verify_certificate,
 )
-from divflag.catalog import edelman_reiner_restriction
+from divflag.catalog import edelman_reiner_restriction, intermediate, xyzw_example
+from divflag.lattice import char_data
 from divflag.exactalg import PrimeField, QQ
 from divflag.arrangement import make_arrangement
 from fractions import Fraction
@@ -79,6 +80,80 @@ def test_verify_cert_rejects_unclosed_level(tmp_path):
     cert_path.write_text(json.dumps(cert))
     assert run(["verify-cert", str(arr_path), str(cert_path), "--json", str(out)]) == 2
     assert json.loads(out.read_text()) == {"valid": False}
+
+
+def _weyl_b4_certificate(tmp_path):
+    arr_path = tmp_path / "wb4.json"
+    cert_path = tmp_path / "cert.json"
+    assert run(["catalog", "weyl-b", "--l", "4", "--emit", str(arr_path)]) == 0
+    assert run(["df-check", str(arr_path), "--certificate", str(cert_path)]) == 0
+    return arr_path, cert_path, json.loads(cert_path.read_text())
+
+
+def _verify_exit(tmp_path, arr_path, cert):
+    cert_path = tmp_path / "forged.json"
+    out = tmp_path / "verify.json"
+    cert_path.write_text(json.dumps(cert))
+    code = run(["verify-cert", str(arr_path), str(cert_path), "--json", str(out)])
+    if code != 1:
+        assert json.loads(out.read_text()) == {"valid": code == 0}
+    return code
+
+
+@pytest.mark.parametrize("arr", [xyzw_example(), intermediate(3, 0, 3, 7)], ids=["xyzw", "a3-0-3-f7"])
+def test_verify_cert_rejects_one_level_flag(tmp_path, arr):
+    # neither arrangement is divisionally free; a flag that stops at the top
+    # level, where A has dimension 4 and hyperplanes, must not certify it
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps(arrangement_to_json(arr)))
+    assert run(["df-check", str(arr_path)]) == 2
+    cert = {"kind": "divisional-flag", "exponents": None,
+            "levels": [{"members": [], "charpoly": list(char_data(arr).chi)}]}
+    assert _verify_exit(tmp_path, arr_path, cert) == 2
+
+
+def test_verify_cert_rejects_truncated_flag(tmp_path):
+    arr_path, _, cert = _weyl_b4_certificate(tmp_path)
+    assert len(cert["levels"]) == 3
+    del cert["levels"][-1]
+    assert _verify_exit(tmp_path, arr_path, cert) == 2
+
+
+def _reverse_last(cert):
+    cert["levels"][-1]["members"].reverse()
+
+
+def _duplicate_last(cert):
+    members = cert["levels"][-1]["members"]
+    members.insert(0, members[0])
+
+
+def _move_middle(cert):
+    outside = min(set(range(16)) - set(cert["levels"][2]["members"]))
+    cert["levels"][1]["members"] = [outside]
+
+
+def _bump_last_charpoly(cert):
+    cert["levels"][-1]["charpoly"][0] += 1
+
+
+@pytest.mark.parametrize("change", [_reverse_last, _duplicate_last, _move_middle, _bump_last_charpoly],
+                         ids=["unsorted", "duplicated", "not-nested", "last-charpoly"])
+def test_verify_cert_rejects_changed_flag(tmp_path, change):
+    arr_path, _, cert = _weyl_b4_certificate(tmp_path)
+    assert _verify_exit(tmp_path, arr_path, cert) == 0
+    change(cert)
+    assert _verify_exit(tmp_path, arr_path, cert) == 2
+
+
+def test_verify_cert_member_out_of_range(tmp_path, capsys):
+    arr_path, _, cert = _weyl_b4_certificate(tmp_path)
+    cert["levels"][1]["members"] = [99]
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, arr_path, cert) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_verify_cert_rejects_bool_charpoly(tmp_path, capsys):

@@ -4,23 +4,34 @@ import pytest
 
 from divflag import intpoly
 from divflag.arrangement import (
+    canonical_key,
     deletion,
+    flat_from_members,
     make_arrangement,
     rank_of,
+    restrict_to_hyperplane,
+    restriction,
     top_flat,
 )
 from divflag.catalog import (
+    RootSystemSpec,
     boolean,
+    braid,
     edelman_reiner_restriction,
     intermediate,
+    pentagon_cone,
+    shi,
     weyl_b,
+    weyl_d,
     xyzw_example,
     xyzw_restriction,
 )
-from divflag.exactalg import QQ
+from divflag.exactalg import QQ, PrimeField
 from divflag.freeness import (
     IF_CERTIFIED,
     NOT_IF,
+    DivisionalFlag,
+    _FlagSearch,
     df_via_b2,
     division_addition_check,
     division_check,
@@ -32,7 +43,7 @@ from divflag.freeness import (
     rank3_division_remainder,
     rank3_triple_conditions,
 )
-from divflag.lattice import build_lattice
+from divflag.lattice import build_lattice, char_data
 from divflag.multi import free3_decide
 
 from conftest import random_arrangement
@@ -355,3 +366,229 @@ def test_division_addition_check_false_case():
     from divflag.catalog import xyzw_example
     A = deletion(xyzw_example(), 0)
     assert not division_addition_check(A, (1, 0, 0, 0))
+
+
+# The geometric flag layer that the search on lattice intervals replaced: it
+# builds a new restriction and a new lattice for every flat it visits.  Its
+# memo is keyed by the sorted covectors but stores hyperplane indices, so a
+# memoized chain may belong to the same covectors in another order; the
+# verdicts are structural and stay right.
+
+
+def _reference_chi(cache, arr):
+    key = canonical_key(arr)
+    if key not in cache:
+        cache[key] = char_data(arr).chi
+    return cache[key]
+
+
+def _reference_ordered_hyperplanes(arr):
+    restricted = [restrict_to_hyperplane(arr, h).arrangement for h in range(len(arr))]
+    return sorted(enumerate(restricted), key=lambda item: (-len(item[1]), item[0]))
+
+
+class _ReferenceFlagSearch:
+    def __init__(self):
+        self.cache = {}
+        self.memo = {}
+
+    def search(self, arr):
+        if arr.dim <= 2 or len(arr) == 0:
+            return ()
+        key = canonical_key(arr)
+        if key in self.memo:
+            return self.memo[key]
+        chi = _reference_chi(self.cache, arr)
+        result = None
+        for h, restricted in _reference_ordered_hyperplanes(arr):
+            if not intpoly.divides(_reference_chi(self.cache, restricted), chi):
+                continue
+            tail = self.search(restricted)
+            if tail is not None:
+                result = (h,) + tail
+                break
+        self.memo[key] = result
+        return result
+
+
+def _reference_flag_from_chain(arr, chain, cache):
+    flats = [top_flat(arr)]
+    charpolys = [_reference_chi(cache, arr)]
+    current = arr
+    reps = list(range(len(arr)))  # representative index in arr per current hyperplane
+    members = set()
+    for k in chain:
+        members.add(reps[k])
+        flat = flat_from_members(arr, members)
+        flats.append(flat)
+        restricted, trace = restrict_to_hyperplane(current, k)
+        charpolys.append(_reference_chi(cache, restricted))
+        reps = [reps[t[0]] for t in trace]
+        current = restricted
+        members = set(flat.members)
+    return DivisionalFlag(tuple(flats), tuple(charpolys), intpoly.linear_roots(charpolys[0]))
+
+
+def _reference_flag_search(arr):
+    search = _ReferenceFlagSearch()
+    chain = search.search(arr)
+    return None if chain is None else _reference_flag_from_chain(arr, chain, search.cache)
+
+
+def _reference_verify(flag, arr):
+    """The old check: no test of where the chain ends."""
+    if not flag.flats or flag.flats[0].members != ():
+        return False
+    rebuilt = []
+    for i, flat in enumerate(flag.flats):
+        closed = flat_from_members(arr, flat.members)
+        if closed.codim != i or closed.members != flat.members:
+            return False
+        if i > 0 and not set(flag.flats[i - 1].members) <= set(flat.members):
+            return False
+        rebuilt.append(closed)
+    polys = tuple(
+        char_data(arr if i == 0 else restriction(arr, flat).arrangement).chi
+        for i, flat in enumerate(rebuilt)
+    )
+    if polys != flag.charpolys:
+        return False
+    return all(intpoly.divides(polys[i + 1], polys[i]) for i in range(len(polys) - 1))
+
+
+def _reference_hereditarily_df(arr):
+    search = _ReferenceFlagSearch()
+    failing = []
+    for level in build_lattice(arr).levels:
+        for flat in level:
+            if arr.dim - flat.codim < 1:
+                continue
+            sub = arr if flat.codim == 0 else restriction(arr, flat).arrangement
+            if search.search(sub) is None:
+                failing.append(flat)
+    return (not failing, tuple(failing))
+
+
+def _flag_data(flag):
+    if flag is None:
+        return None
+    return [list(f.members) for f in flag.flats], flag.charpolys, flag.exponents
+
+
+def _assert_flag_layer_matches_reference(arr):
+    flag = divisional_flag_search(arr)
+    assert _flag_data(flag) == _flag_data(_reference_flag_search(arr))
+    if flag is not None:
+        assert flag.verify(arr) and _reference_verify(flag, arr)
+    ok, failing = hereditarily_df(arr)
+    ref_ok, ref_failing = _reference_hereditarily_df(arr)
+    assert ok == ref_ok
+    assert [f.members for f in failing] == [f.members for f in ref_failing]
+
+
+CATALOG_FLAG_INPUTS = [
+    ("boolean-4", boolean(4)),
+    ("braid-5", braid(5)),
+    ("weyl-b4", weyl_b(4)),
+    ("weyl-d4", weyl_d(4)),
+    ("shi-a2-k1", shi(RootSystemSpec("A", 2), 1)),
+    ("edelman-reiner", edelman_reiner_restriction()),
+    ("xyzw", xyzw_example()),
+    ("xyzw-restriction", xyzw_restriction()),
+    ("intermediate-3-1", intermediate(3, 1, 3, 7)),
+    ("intermediate-3-0", intermediate(3, 0, 3, 7)),
+    ("intermediate-4-1", intermediate(4, 1, 3, 7)),
+    ("pentagon-cone", pentagon_cone(31).arrangement),
+]
+
+
+@pytest.mark.parametrize("name,arr", CATALOG_FLAG_INPUTS, ids=[n for n, _ in CATALOG_FLAG_INPUTS])
+def test_flag_layer_matches_reference_catalog(name, arr):
+    # the arrangement and its restriction to every flat of dimension >= 3
+    lat = build_lattice(arr)
+    for level in lat.levels[:arr.dim - 2]:
+        for flat in level:
+            _assert_flag_layer_matches_reference(
+                arr if flat.codim == 0 else restriction(arr, flat).arrangement)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 11])
+def test_flag_layer_matches_reference_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(151 if p is None else 151 + p)
+    found = 0
+    for _ in range(30):
+        arr = random_arrangement(rng, rng.randint(3, 5), rng.randint(3, 9), field=field)
+        _assert_flag_layer_matches_reference(arr)
+        found += divisional_flag_search(arr) is not None
+    assert 0 < found < 30
+
+
+def _flag_chains(lat, level=0, index=0):
+    """Every chain from the top that steps down covers and stops where a
+    divisional flag stops (dimension <= 2 or no hyperplanes left)."""
+    dim = lat.arrangement.dim
+    if dim - level <= 2 or not lat.covers[level][index]:
+        yield ((level, index),)
+        return
+    for k in lat.covers[level][index]:
+        for tail in _flag_chains(lat, level + 1, k):
+            yield ((level, index),) + tail
+
+
+def test_verify_matches_reference_on_every_chain():
+    rng = random.Random(157)
+    verdicts = set()
+    for _ in range(12):
+        arr = random_arrangement(rng, rng.randint(3, 4), rng.randint(3, 7))
+        lat = build_lattice(arr)
+        for chain in _flag_chains(lat):
+            flats = tuple(lat.levels[level][index] for level, index in chain)
+            polys = tuple(char_data(arr if f.codim == 0 else restriction(arr, f).arrangement).chi
+                          for f in flats)
+            flag = DivisionalFlag(flats, polys, None)
+            verdict = flag.verify(arr)
+            assert verdict == _reference_verify(flag, arr)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _memoized_chains_divide(arr):
+    """Every chain the search memoized is a divisional flag of the
+    restriction onto its own flat, checked there with its own numbering."""
+    lat = build_lattice(arr)
+    search = _FlagSearch(lat)
+    for level in range(min(arr.dim, len(lat.levels))):
+        for index in range(len(lat.levels[level])):
+            search.search(level, index)
+    chains = 0
+    for base, chain in search.memo.items():
+        if chain is None:
+            continue
+        level, index = lat.locate(h for h in range(len(arr)) if base >> h & 1)
+        flat = lat.levels[level][index]
+        restricted = restriction(arr, flat).arrangement if level else arr
+        # hyperplane j of A^X is the cover of X with the j-th smallest new member
+        ups = sorted(lat.covers[level][index], key=lambda k: min(
+            set(lat.levels[level + 1][k].members) - set(flat.members)))
+        ids = ((level, index),) + chain
+        flats = []
+        for lvl, k in ids:
+            members = [j for j, up in enumerate(ups)
+                       if lat.mask(level + 1, up) & ~lat.mask(lvl, k) == 0]
+            flats.append(flat_from_members(restricted, members))
+        polys = tuple(lat.restriction_chi(*where) for where in ids)
+        assert tuple(f.codim for f in flats) == tuple(range(len(flats)))
+        assert DivisionalFlag(tuple(flats), polys, None).verify(restricted)
+        chains += 1
+    return chains
+
+
+def test_memoized_chains_divide_in_their_own_flat():
+    chains = 0
+    for _, arr in CATALOG_FLAG_INPUTS[:6]:
+        chains += _memoized_chains_divide(arr)
+    rng = random.Random(163)
+    for _ in range(20):
+        chains += _memoized_chains_divide(random_arrangement(rng, rng.randint(3, 5), rng.randint(3, 9)))
+    assert chains > 100

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from divflag import intpoly
-from divflag.arrangement import deletion, make_arrangement, restrict_to_hyperplane
+from divflag.arrangement import deletion, make_arrangement, restrict_to_hyperplane, restriction
 from divflag.catalog import (
     CATALOG_NAMES,
     boolean,
@@ -133,8 +133,7 @@ def _assert_matches_reference(arr, max_codim=None):
 
 def _catalog_arrangements():
     for name in CATALOG_NAMES:
-        arr = build_entry(name).arrangement
-        yield name, getattr(arr, "arrangement", arr)  # the pentagon cone carries extra data
+        yield name, build_entry(name).arrangement
     yield "weyl-b4", weyl_b(4)
     yield "braid5", braid(5)
 
@@ -204,6 +203,59 @@ def test_covers_step_one_codim():
             for k in ups:
                 upper = lat.levels[i + 1][k]
                 assert set(lower.members) <= set(upper.members)
+
+
+def _all_pairs_covers(lat):
+    """The cover relation by testing every pair of adjacent-level masks."""
+    out = [
+        tuple(tuple(k for k, um in enumerate(upper) if lm & um == lm) for lm in lower)
+        for lower, upper in zip(lat._masks, lat._masks[1:])
+    ]
+    return tuple(out) + (tuple(() for _ in lat.levels[-1]),)
+
+
+def _assert_interval_queries(arr):
+    """covers, locate and restriction_chi against a restriction per flat."""
+    lat = build_lattice(arr)
+    assert lat.covers == _all_pairs_covers(lat)
+    assert lat.restriction_chi(0, 0) == char_data(arr).chi
+    for level, flats in enumerate(lat.levels):
+        for index, flat in enumerate(flats):
+            assert lat.locate(flat.members) == (level, index)
+            if 0 < level < arr.dim:
+                restricted = restriction(arr, flat).arrangement
+                assert lat.restriction_chi(level, index) == char_data(restricted).chi
+                assert len(lat.covers[level][index]) == len(restricted)
+    if arr.dim == len(lat.levels) - 1:  # essential: the center is a point
+        assert lat.restriction_chi(arr.dim, 0) == intpoly.ONE
+
+
+@pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
+def test_interval_queries_catalog(name, arr):
+    _assert_interval_queries(arr)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7])
+def test_interval_queries_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(97 if p is None else 97 + p)
+    for dim in range(2, 6):
+        available = 9 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(8):
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
+            _assert_interval_queries(arr)
+
+
+def test_locate_rejects_unclosed_sets():
+    lat = build_lattice(weyl_b(3))
+    assert lat.locate([9]) is None  # no hyperplane 9
+    level2 = lat.levels[2][0].members
+    assert len(level2) > 2 and lat.locate(level2[:2]) is None
+
+
+def test_restriction_chi_needs_complete_lattice():
+    with pytest.raises(ValueError):
+        build_lattice(weyl_b(3), max_codim=1).restriction_chi(0, 0)
 
 
 def test_char_data_er():
