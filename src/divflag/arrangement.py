@@ -58,11 +58,6 @@ def make_arrangement(field: Field, dim: int, covectors: Iterable[Sequence]) -> A
     return Arrangement(field, dim, tuple(normalized))
 
 
-def canonical_key(arr: Arrangement) -> tuple:
-    """Structural identity under hyperplane reordering; memoization key."""
-    return (arr.field, arr.dim, tuple(sorted(arr.hyperplanes)))
-
-
 @dataclass(frozen=True)
 class Flat:
     """Element of the intersection lattice: canonical normal space plus

@@ -16,10 +16,7 @@ from .arrangement import (
     Arrangement,
     Flat,
     add_hyperplane,
-    canonical_key,
-    deletion,
-    essentialize,
-    rank_of,
+    make_arrangement,
     restrict_to_hyperplane,
 )
 from .lattice import IntersectionLattice, build_lattice, char_data
@@ -45,7 +42,7 @@ class DivisionalFlag:
         increasing order, the closed member set of a flat of its codimension
         inside the previous one; the chain ends where the search ends and
         not before; and the charpolys are the restrictions' and divide
-        consecutively."""
+        consecutively, and the exponents are the integer roots of χ(A)."""
         lattice = build_lattice(arr)
         ids: list[tuple[int, int]] = []
         for i, flat in enumerate(self.flats):
@@ -59,7 +56,7 @@ class DivisionalFlag:
         if [_flag_ends(lattice, *where) for where in ids] != [False] * (len(ids) - 1) + [True]:
             return False
         polys = tuple(lattice.restriction_chi(*where) for where in ids)
-        return polys == self.charpolys and all(
+        return polys == self.charpolys and self.exponents == intpoly.linear_roots(polys[0]) and all(
             intpoly.divides(polys[i + 1], polys[i]) for i in range(len(polys) - 1))
 
 
@@ -68,38 +65,38 @@ def _flag_ends(lattice: IntersectionLattice, level: int, index: int) -> bool:
     return lattice.arrangement.dim - level <= 2 or not lattice.covers[level][index]
 
 
-class _ChiCache:
-    """Characteristic polynomials memoized on structural arrangement keys."""
-
-    def __init__(self):
-        self._store = {}
-
-    def chi(self, arr: Arrangement) -> intpoly.IntPoly:
-        key = canonical_key(arr)
-        val = self._store.get(key)
-        if val is None:
-            val = char_data(arr).chi
-            self._store[key] = val
-        return val
+def _restriction_atom(lattice: IntersectionLattice, h: int) -> int:
+    """Level-1 index of hyperplane h; A^H must have a positive dimension."""
+    atom = lattice.atom(h)
+    if lattice.arrangement.dim < 2:
+        raise ValueError("cannot restrict to a zero-dimensional flat")
+    return atom
 
 
 def division_check(arr: Arrangement, h: int) -> bool:
     """Does the restriction's charpoly divide the full one at hyperplane h?"""
     if len(arr) == 0:
         raise ValueError("division check needs a nonempty arrangement")
-    restricted, _ = restrict_to_hyperplane(arr, h)
-    return intpoly.divides(char_data(restricted).chi, char_data(arr).chi)
+    lattice = build_lattice(arr)
+    return intpoly.divides(lattice.restriction_chi(1, _restriction_atom(lattice, h)),
+                           lattice.restriction_chi(0, 0))
 
 
-def _ordered_hyperplanes(arr: Arrangement):
-    """Candidates in decreasing restriction size (a search heuristic only;
-    the search stays exhaustive), ties by index."""
-    sized = []
-    for h in range(len(arr)):
-        restricted, _ = restrict_to_hyperplane(arr, h)
-        sized.append((-len(restricted), h, restricted))
-    sized.sort(key=lambda t: (t[0], t[1]))
-    return [(h, restricted) for _, h, restricted in sized]
+def _candidates(lat: IntersectionLattice, level: int, index: int, deleted: int = 0) -> list[int]:
+    """The hyperplanes of the minor (A − S)^X, as covers Y of X, by
+    decreasing restriction size, then by min(members Y − members X − S), which
+    is the order in which the restrictions and deletions that lead to the
+    minor number them (a heuristic only; the searches stay exhaustive)."""
+    base = lat.mask(level, index)
+
+    def order(k):
+        above = lat.mask(level + 1, k)
+        present = above & ~base & ~deleted
+        size = sum(1 for z in lat.covers[level + 1][k] if lat.mask(level + 2, z) & ~above & ~deleted)
+        return -size, present & -present
+
+    return sorted((k for k in lat.covers[level][index] if lat.mask(level + 1, k) & ~base & ~deleted),
+                  key=order)
 
 
 class _FlagSearch:
@@ -113,23 +110,15 @@ class _FlagSearch:
     def search(self, level: int, index: int):
         """Chain of (level, index) flats below X = levels[level][index] with
         consecutively dividing charpolys, or None when A^X has no divisional
-        flag.  Candidates are the covers Y of X by decreasing |A^Y|, then by
-        min(members Y − members X), which is the order in which
-        ``restriction`` numbers the hyperplanes of A^X (a heuristic only; the
-        search stays exhaustive)."""
+        flag."""
         lat = self.lattice
         if _flag_ends(lat, level, index):
             return ()
         base = lat.mask(level, index)
         if base not in self.memo:
             chi = lat.restriction_chi(level, index)
-
-            def order(k):
-                new = lat.mask(level + 1, k) & ~base
-                return -len(lat.covers[level + 1][k]), new & -new
-
             self.memo[base] = None
-            for k in sorted(lat.covers[level][index], key=order):
+            for k in _candidates(lat, level, index):
                 if intpoly.divides(lat.restriction_chi(level + 1, k), chi):
                     tail = self.search(level + 1, k)
                     if tail is not None:
@@ -201,36 +190,33 @@ class IFStep:
 
 @dataclass(frozen=True)
 class IFCertificate:
-    """Addition order from the empty arrangement with the division checked
-    at every step (in the ambient dimension; lower levels are re-searched
-    on verification)."""
+    """Addition order from the empty arrangement with the restriction
+    charpoly of every step, whose division is checked in the ambient dimension."""
 
     field: object
     dim: int
     steps: tuple[IFStep, ...]
 
     def verify(self, target: Arrangement) -> bool:
-        from .arrangement import make_arrangement
-
-        covs: list[tuple] = []
-        prev_chi = None
-        for step in self.steps:
-            prev = make_arrangement(self.field, self.dim, covs) if covs else None
-            covs.append(step.covector)
-            current = make_arrangement(self.field, self.dim, covs)
-            h = len(covs) - 1
-            restricted, _ = restrict_to_hyperplane(current, h)
-            chi_res = char_data(restricted).chi
-            if chi_res != step.restriction_chi:
+        """Check the steps on one build of L(A): they add the target's
+        hyperplanes over its field and dimension, and each step on H is
+        χ((A − S)^H), S the hyperplanes added later, and in dimension 3 or
+        more divides the charpoly before the step."""
+        added = make_arrangement(self.field, self.dim, [step.covector for step in self.steps])
+        if (self.field, self.dim, sorted(added.hyperplanes)) != (
+                target.field, target.dim, sorted(target.hyperplanes)):
+            return False
+        lattice = build_lattice(target)
+        index = {cov: h for h, cov in enumerate(target.hyperplanes)}
+        deleted = (1 << len(target)) - 1
+        for cov, step in zip(added.hyperplanes, self.steps):
+            h = index[cov]
+            before, deleted = deleted, deleted & ~(1 << h)
+            chi_res = lattice.restriction_chi(1, lattice.atom(h), deleted)
+            if chi_res != step.restriction_chi or self.dim >= 3 and not intpoly.divides(
+                    chi_res, lattice.restriction_chi(0, 0, before)):
                 return False
-            if self.dim >= 3:
-                chi_prev = char_data(prev).chi if prev is not None else intpoly.poly(
-                    [0] * self.dim + [1]
-                )
-                if not intpoly.divides(chi_res, chi_prev):
-                    return False
-        final = make_arrangement(self.field, self.dim, covs)
-        return sorted(final.hyperplanes) == sorted(target.hyperplanes)
+        return True
 
 
 NOT_IF = "refuted"
@@ -245,52 +231,60 @@ class IFResult:
     nodes: int
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
 _EXHAUSTED = object()
 
 
 class _IFSearch:
-    def __init__(self, budget: int):
-        self.cache = _ChiCache()
-        self.memo: dict[tuple, tuple[bool, tuple | None]] = {}
-        self.budget = _Budget(budget)
+    """Addition–deletion search on the minors (A − S)^X of one lattice, for a
+    flat X and a bitmask S of deleted hyperplanes of A.  The hyperplanes of
+    the minor are the covers Y of X with a member outside X and S: restricting
+    to Y moves X to Y, and deleting Y adds its members outside X to S."""
 
-    def search(self, arr: Arrangement):
-        """True/False verdict or the exhaustion sentinel.  A winning
-        hyperplane covector is memoized per key for certificate replay."""
-        if len(arr) == 0 or arr.dim <= 2 or rank_of(arr) <= 2:
+    def __init__(self, lattice: IntersectionLattice, budget: int):
+        self.lattice = lattice
+        self.memo: dict[tuple[int, int], tuple[bool, int | None]] = {}
+        self.budget = budget
+        self.nodes = 0  # nodes expanded, each counted against the budget
+
+    def trivial(self, level: int, index: int, deleted: int) -> bool:
+        """Has the minor rank at most two?  Its rank is its dimension less the
+        lowest degree of its charpoly."""
+        chi = self.lattice.restriction_chi(level, index, deleted)
+        return self.lattice.arrangement.dim - level - next(i for i, c in enumerate(chi) if c) <= 2
+
+    def search(self, level: int, index: int, deleted: int):
+        """True/False verdict or the exhaustion sentinel.  The winning cover
+        is memoized per minor for certificate replay."""
+        if self.trivial(level, index, deleted):
             return True
-        key = canonical_key(arr)
+        lat = self.lattice
+        base = lat.mask(level, index)
+        # the minor is the same for every S that deletes the same covers
+        key = (base, sum(m for m in (lat.mask(level + 1, k) & ~base for k in lat.covers[level][index])
+                         if not m & ~deleted))
         if key in self.memo:
             return self.memo[key][0]
-        if not self.budget.spend():
+        self.nodes += 1
+        if self.nodes > self.budget:
             return _EXHAUSTED
         exhausted = False
-        for h, restricted in _ordered_hyperplanes(arr):
-            deleted = deletion(arr, h)
-            if not intpoly.divides(self.cache.chi(restricted), self.cache.chi(deleted)):
+        for k in _candidates(lat, level, index, deleted):
+            removed = deleted | lat.mask(level + 1, k) & ~base
+            if not intpoly.divides(lat.restriction_chi(level + 1, k, deleted),
+                                   lat.restriction_chi(level, index, removed)):
                 continue
-            sub = self.search(restricted)
+            sub = self.search(level + 1, k, deleted)
             if sub is _EXHAUSTED:
                 exhausted = True
                 continue
             if sub is not True:
                 continue
-            sub = self.search(deleted)
+            sub = self.search(level, index, removed)
             if sub is _EXHAUSTED:
                 exhausted = True
                 continue
             if sub is True:
-                self.memo[key] = (True, arr.hyperplanes[h])
+                self.memo[key] = (True, k)
                 return True
         if exhausted:
             return _EXHAUSTED
@@ -302,32 +296,28 @@ def inductively_free(arr: Arrangement, budget: int = 200_000) -> IFResult:
     """Search for an inductive-freeness certificate.
 
     Refutation is exhaustive over the reachable deletion tree; a budget on
-    search nodes separates a true refutation from an aborted search.
+    search nodes separates a true refutation from an aborted search.  The
+    certificate adds back in reverse the memoized deletions down to rank two
+    and then the rest by decreasing index.
     """
-    search = _IFSearch(budget)
-    verdict = search.search(arr)
+    lattice = build_lattice(arr)
+    search = _IFSearch(lattice, budget)
+    verdict = search.search(0, 0, 0)
     if verdict is _EXHAUSTED:
-        return IFResult(IF_EXHAUSTED, None, search.budget.used)
+        return IFResult(IF_EXHAUSTED, None, search.nodes)
     if verdict is False:
-        return IFResult(NOT_IF, None, search.budget.used)
+        return IFResult(NOT_IF, None, search.nodes)
     steps: list[IFStep] = []
-    current = arr
-    while len(current) > 0 and current.dim >= 3 and rank_of(current) > 2:
-        key = canonical_key(current)
-        _, covector = search.memo[key]
-        h = current.hyperplanes.index(covector)
-        restricted, _ = restrict_to_hyperplane(current, h)
-        steps.append(IFStep(covector, search.cache.chi(restricted)))
-        current = deletion(current, h)
-    for h in range(len(current) - 1, -1, -1):
-        restricted, _ = (
-            restrict_to_hyperplane(current, h) if current.dim >= 2 else (None, None)
-        )
-        chi_res = search.cache.chi(restricted) if restricted is not None else intpoly.ONE
-        steps.append(IFStep(current.hyperplanes[h], chi_res))
-        current = deletion(current, h)
+    full, deleted = (1 << len(arr)) - 1, 0
+    while deleted != full:
+        if search.trivial(0, 0, deleted):
+            h = (full & ~deleted).bit_length() - 1
+        else:
+            h = lattice.mask(1, search.memo[0, deleted][1]).bit_length() - 1
+        steps.append(IFStep(arr.hyperplanes[h], lattice.restriction_chi(1, lattice.atom(h), deleted)))
+        deleted |= 1 << h
     steps.reverse()
-    return IFResult(IF_CERTIFIED, IFCertificate(arr.field, arr.dim, tuple(steps)), search.budget.used)
+    return IFResult(IF_CERTIFIED, IFCertificate(arr.field, arr.dim, tuple(steps)), search.nodes)
 
 
 def hereditarily_df(arr: Arrangement):
@@ -348,30 +338,40 @@ class Rank3Conditions:
     restriction_size_matches: bool
 
 
+def _rank3_lattice(arr: Arrangement, h: int, error: str) -> tuple[IntersectionLattice, int]:
+    lattice = build_lattice(arr)
+    if len(lattice.levels) != 4:
+        raise ValueError(error)
+    return lattice, lattice.atom(h)
+
+
+def _chi0(chi: intpoly.IntPoly) -> intpoly.IntPoly:
+    """χ/(t − 1), for the charpoly of a nonempty arrangement."""
+    return intpoly.div_rem(chi, (-1, 1))[0]
+
+
 def rank3_triple_conditions(arr: Arrangement, h: int, d1: int, d2: int) -> Rank3Conditions:
     """The three interchangeable rank-3 conditions tying the triple's
-    charpolys and the restriction size to candidate exponents (d1, d2)."""
-    if rank_of(arr) != 3:
-        raise ValueError("rank-3 conditions need a rank-3 arrangement")
-    ess = essentialize(arr)
-    chi = char_data(ess).chi
-    chi_deleted = char_data(deletion(ess, h)).chi
-    restricted, _ = restrict_to_hyperplane(ess, h)
+    charpolys and the restriction size to candidate exponents (d1, d2).  The
+    charpolys are those of the essential arrangements: t^(dim−3) is shifted
+    out of χ(A) and χ(A')."""
+    lattice, atom = _rank3_lattice(arr, h, "rank-3 conditions need a rank-3 arrangement")
+    extra = arr.dim - 3
     return Rank3Conditions(
-        chi_splits=(chi == intpoly.from_roots([1, d1, d2])),
-        deleted_chi_matches=(chi_deleted == intpoly.from_roots([1, d1, d2 - 1])),
-        restriction_size_matches=(len(restricted) == d1 + 1),
+        chi_splits=lattice.restriction_chi(0, 0)[extra:] == intpoly.from_roots([1, d1, d2]),
+        deleted_chi_matches=(lattice.restriction_chi(0, 0, 1 << h)[extra:]
+                             == intpoly.from_roots([1, d1, d2 - 1])),
+        restriction_size_matches=len(lattice.covers[1][atom]) == d1 + 1,
     )
 
 
 def rank3_division_remainder(arr: Arrangement, h: int) -> int:
     """Scalar remainder of dividing chi0 by the restriction's chi0 at rank
-    3: chi0 evaluated at |A^H| - 1.  Nonnegative; zero certifies freeness."""
-    if rank_of(arr) != 3:
-        raise ValueError("rank-3 remainder needs a rank-3 arrangement")
-    ess = essentialize(arr)
-    restricted, _ = restrict_to_hyperplane(ess, h)
-    a = intpoly.eval_at(char_data(ess).chi0, len(restricted) - 1)
+    3: chi0 of the essential arrangement evaluated at |A^H| - 1.
+    Nonnegative; zero certifies freeness."""
+    lattice, atom = _rank3_lattice(arr, h, "rank-3 remainder needs a rank-3 arrangement")
+    chi0 = _chi0(lattice.restriction_chi(0, 0)[arr.dim - 3:])
+    a = intpoly.eval_at(chi0, len(lattice.covers[1][atom]) - 1)
     if a < 0:
         raise AssertionError(f"rank-3 remainder {a} is negative")
     return a
@@ -382,8 +382,10 @@ def division_addition_check(arr: Arrangement, covector) -> bool:
     original charpoly; a dividing free restriction certifies freeness of
     the original arrangement."""
     extended = add_hyperplane(arr, covector)
-    restricted, _ = restrict_to_hyperplane(extended, len(extended) - 1)
-    return intpoly.divides(char_data(restricted).chi, char_data(arr).chi)
+    lattice = build_lattice(extended)
+    added = len(arr)
+    return intpoly.divides(lattice.restriction_chi(1, _restriction_atom(lattice, added)),
+                           lattice.restriction_chi(0, 0, 1 << added))
 
 
 @dataclass(frozen=True)
@@ -415,38 +417,33 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
     if len(arr) == 0:
         raise ValueError("division equivalences need a nonempty arrangement")
     ell = arr.dim
-    restricted, _ = restrict_to_hyperplane(arr, h)
-    deleted = deletion(arr, h)
-    chi = char_data(arr).chi
-    chi_res = char_data(restricted).chi
-    chi_del = char_data(deleted).chi
+    lattice = build_lattice(arr)
+    atom = _restriction_atom(lattice, h)
+    n_res = len(lattice.covers[1][atom])  # |A^H|
+    chi = lattice.restriction_chi(0, 0)
+    chi_res = lattice.restriction_chi(1, atom)
+    chi_del = lattice.restriction_chi(0, 0, 1 << h)
     cond4 = intpoly.divides(chi_res, chi)
     cond5 = intpoly.divides(chi_res, chi_del)
     cond6 = intpoly.degree(intpoly.gcd_monic(chi, chi_del)) == ell - 1
-    if len(restricted) == 0:
+    if n_res == 0:
         cond7 = cond4
         cond8 = cond5
     else:
-        chi0_res = char_data(restricted).chi0
-        r = intpoly.sub(
-            char_data(arr).chi0,
-            intpoly.mul((-(len(arr) - len(restricted)), 1), chi0_res),
-        )
+        chi0_res = _chi0(chi_res)
+        r = intpoly.sub(_chi0(chi), intpoly.mul((-(len(arr) - n_res), 1), chi0_res))
         cond7 = intpoly.coeff(r, ell - 3) == 0
-        if len(deleted) == 0:
+        if len(arr) == 1:
             cond8 = cond5
         else:
-            rp = intpoly.sub(
-                char_data(deleted).chi0,
-                intpoly.mul((-(len(deleted) - len(restricted)), 1), chi0_res),
-            )
+            rp = intpoly.sub(_chi0(chi_del), intpoly.mul((-(len(arr) - 1 - n_res), 1), chi0_res))
             cond8 = intpoly.coeff(rp, ell - 3) == 0
-    res_rank = rank_of(restricted) if len(restricted) else 0
+    res_rank = len(lattice.levels) - 2  # the interval above H_h
     certified: bool | None
     if res_rank <= 2:
         certified = True
     elif res_rank == 3:
-        certified = free3_decide(restricted).free
+        certified = free3_decide(restrict_to_hyperplane(arr, h).arrangement).free
     else:
         certified = None
     report = EquivalenceReport(cond4, cond5, cond6, cond7, cond8, certified)

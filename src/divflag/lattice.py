@@ -47,7 +47,7 @@ class IntersectionLattice:
     _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = dc_field(
         default=None, repr=False, compare=False)
     _where: dict[int, tuple[int, int]] | None = dc_field(default=None, repr=False, compare=False)
-    _chis: dict[tuple[int, int], intpoly.IntPoly] = dc_field(
+    _chis: dict[tuple[int, int, int], intpoly.IntPoly] = dc_field(
         default_factory=dict, repr=False, compare=False)
 
     def level_sizes(self) -> tuple[int, ...]:
@@ -89,33 +89,39 @@ class IntersectionLattice:
             self._covers = tuple(out)
         return self._covers
 
-    def restriction_chi(self, level: int, index: int) -> intpoly.IntPoly:
-        """χ(A^X; t) = Σ_{Z ≥ X} μ(X, Z) t^{dim Z} for X = levels[level][index],
-        on the interval [X, V] that is the lattice of A^X.  Weisner's theorem
-        with the atom of h = max(members Z − members X) gives μ(X, Z) =
-        −Σ μ(X, W) over the W ⋖ Z with W ≥ X and h ∉ W, as in ``build_lattice``
-        (which is the case X = V)."""
-        chi = self._chis.get((level, index))
+    def atom(self, h: int) -> int:
+        """Index at level 1 of hyperplane h."""
+        if not 0 <= h < len(self.arrangement):
+            raise IndexError(f"hyperplane index {h} out of range")
+        return self.locate((h,))[1]
+
+    def restriction_chi(self, level: int, index: int, deleted: int = 0) -> intpoly.IntPoly:
+        """χ((A − S)^X; t) = Σ_Z μ(X, Z) t^{dim Z} for X = levels[level][index],
+        S the bitmask ``deleted``, over the flats Z = W ∧ K of the minor: W its
+        flat one level down, K ∉ S.  Weisner's theorem with the atom K =
+        max(members Z − members X − S) gives μ(X, Z) = −Σ μ(X, W) over the
+        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅)."""
+        chi = self._chis.get((level, index, deleted))
         if chi is None:
             if not self.complete:
                 raise ValueError("restriction_chi needs the complete lattice")
             dim, base = self.arrangement.dim, self._masks[level][index]
             coeffs = [0] * (dim - level + 1)
             coeffs[dim - level] = 1
-            current = {index: 1}  # μ(X, W) over the interval's flats W of one level
+            current = {index: 1}  # μ(X, W) over the minor's flats W of one level
             for lvl in range(level, len(self.levels) - 1):
                 lower, upper = self._masks[lvl], self._masks[lvl + 1]
-                atoms: dict[int, int] = {}  # upper flat -> bit of its h
+                atoms: dict[int, int] = {}  # upper flat -> bit of its K, 0 if none
                 sums: dict[int, int] = {}
                 for w, mu in current.items():
                     for z in self.covers[lvl][w]:
                         if z not in atoms:
-                            atoms[z] = 1 << (upper[z] & ~base).bit_length() - 1
-                        if not lower[w] & atoms[z]:
+                            atoms[z] = 1 << (upper[z] & ~(base | deleted)).bit_length() >> 1
+                        if atoms[z] and not lower[w] & atoms[z]:
                             sums[z] = sums.get(z, 0) + mu
                 current = {z: -s for z, s in sums.items()}
                 coeffs[dim - lvl - 1] = sum(current.values())
-            chi = self._chis[level, index] = intpoly.poly(coeffs)
+            chi = self._chis[level, index, deleted] = intpoly.poly(coeffs)
         return chi
 
 

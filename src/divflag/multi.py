@@ -24,7 +24,7 @@ from .arrangement import (
     restrict_to_hyperplane,
 )
 from .exactalg import Field, extend_rref, kernel_basis, matrix, normalize_covector, _rref_rows
-from .lattice import char_data, rank2_flats
+from .lattice import build_lattice, char_data, rank2_flats
 
 
 @dataclass(frozen=True)
@@ -330,12 +330,13 @@ def remainder_division(arr: Arrangement, h: int) -> RemainderReport:
         raise ValueError("remainder division needs ambient dimension >= 3")
     if len(arr) == 0:
         raise ValueError("remainder division needs a nonempty arrangement")
-    restricted, _ = restrict_to_hyperplane(arr, h)
-    if len(restricted) == 0:
+    lattice = build_lattice(arr)
+    atom = lattice.atom(h)
+    if not lattice.covers[1][atom]:
         raise ValueError("restriction is empty; chi0 is undefined")
-    chi0 = char_data(arr).chi0
-    chi0_res = char_data(restricted).chi0
-    root = len(arr) - len(restricted)
+    chi0 = char_data(arr, lattice).chi0
+    chi0_res = intpoly.div_rem(lattice.restriction_chi(1, atom), (-1, 1))[0]
+    root = len(arr) - len(lattice.covers[1][atom])
     product = intpoly.mul((-root, 1), chi0_res)
     r = intpoly.sub(chi0, product)
     if intpoly.degree(r) > ell - 3:

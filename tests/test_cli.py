@@ -146,6 +146,50 @@ def test_verify_cert_rejects_changed_flag(tmp_path, change):
     assert _verify_exit(tmp_path, arr_path, cert) == 2
 
 
+@pytest.mark.parametrize("exponents", [[2, 2, 2, 2], None], ids=["wrong", "null"])
+def test_verify_cert_rejects_forged_exponents(tmp_path, exponents):
+    arr_path, _, cert = _weyl_b4_certificate(tmp_path)
+    assert cert["exponents"] == [1, 3, 5, 7]
+    cert["exponents"] = exponents
+    assert _verify_exit(tmp_path, arr_path, cert) == 2
+
+
+def test_verify_cert_rejects_if_certificate_for_another_field(tmp_path):
+    # the same covectors over Q and over F_2: only the F_2 arrangement is
+    # inductively free, and its certificate must not verify the rational one
+    covs = [[0, 1, 1], [1, 1, 1], [1, 0, 1], [0, 0, 1], [1, 1, 0]]
+    q_path, f2_path = tmp_path / "q.json", tmp_path / "f2.json"
+    q_path.write_text(json.dumps({"field": "Q", "dim": 3, "hyperplanes": covs}))
+    f2_path.write_text(json.dumps({"field": {"Fp": 2}, "dim": 3, "hyperplanes": covs}))
+    assert run(["if-check", str(q_path)]) == 2
+    assert run(["df-check", str(q_path)]) == 2
+    assert run(["free3", str(q_path)]) == 2
+    cert_path = tmp_path / "f2.cert.json"
+    assert run(["if-check", str(f2_path), "--certificate", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    assert _verify_exit(tmp_path, f2_path, cert) == 0
+    assert _verify_exit(tmp_path, q_path, cert) == 2
+
+
+def test_verify_cert_rejects_if_certificate_for_another_dim(tmp_path):
+    # Weyl B3 and the same hyperplanes in one more dimension
+    arr_path, cert_path = tmp_path / "wb3.json", tmp_path / "cert.json"
+    assert run(["catalog", "weyl-b", "--l", "3", "--emit", str(arr_path)]) == 0
+    assert run(["if-check", str(arr_path), "--certificate", str(cert_path)]) == 0
+    wide = json.loads(arr_path.read_text())
+    wide["dim"] = 4
+    wide["hyperplanes"] = [cov + [0] for cov in wide["hyperplanes"]]
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(wide))
+    assert _verify_exit(tmp_path, wide_path, json.loads(cert_path.read_text())) == 2
+    # with no hyperplanes only the dimension tells them apart
+    empty_path = tmp_path / "empty.json"
+    empty_path.write_text(json.dumps({"field": "Q", "dim": 3, "hyperplanes": []}))
+    cert = {"kind": "inductive-freeness", "field": "Q", "dim": 3, "steps": []}
+    assert _verify_exit(tmp_path, empty_path, cert) == 0
+    assert _verify_exit(tmp_path, empty_path, dict(cert, dim=4)) == 2
+
+
 def test_verify_cert_member_out_of_range(tmp_path, capsys):
     arr_path, _, cert = _weyl_b4_certificate(tmp_path)
     cert["levels"][1]["members"] = [99]
@@ -185,6 +229,16 @@ def test_if_check_certificate_reverifies(tmp_path):
     assert run(["catalog", "weyl-b", "--l", "3", "--emit", str(arr_path)]) == 0
     assert run(["if-check", str(arr_path), "--certificate", str(cert_path)]) == 0
     assert run(["verify-cert", str(arr_path), str(cert_path)]) == 0
+
+
+def test_if_certificate_in_dimension_one_reverifies(tmp_path):
+    # the restriction onto the only hyperplane is zero-dimensional, with chi 1
+    arr_path, cert_path = tmp_path / "line.json", tmp_path / "cert.json"
+    arr_path.write_text(json.dumps({"field": "Q", "dim": 1, "hyperplanes": [[1]]}))
+    assert run(["if-check", str(arr_path), "--certificate", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["steps"] == [{"covector": [1], "restriction_charpoly": [1]}]
+    assert _verify_exit(tmp_path, arr_path, cert) == 0
 
 
 def test_tampered_certificate_rejected(tmp_path):

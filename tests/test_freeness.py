@@ -4,8 +4,8 @@ import pytest
 
 from divflag import intpoly
 from divflag.arrangement import (
-    canonical_key,
     deletion,
+    essentialize,
     flat_from_members,
     make_arrangement,
     rank_of,
@@ -28,10 +28,15 @@ from divflag.catalog import (
 )
 from divflag.exactalg import QQ, PrimeField
 from divflag.freeness import (
+    _EXHAUSTED,
     IF_CERTIFIED,
+    IF_EXHAUSTED,
     NOT_IF,
     DivisionalFlag,
+    IFCertificate,
+    IFStep,
     _FlagSearch,
+    _candidates,
     df_via_b2,
     division_addition_check,
     division_check,
@@ -44,7 +49,7 @@ from divflag.freeness import (
     rank3_triple_conditions,
 )
 from divflag.lattice import build_lattice, char_data
-from divflag.multi import free3_decide
+from divflag.multi import free3_decide, remainder_division
 
 from conftest import random_arrangement
 
@@ -375,6 +380,11 @@ def test_division_addition_check_false_case():
 # verdicts are structural and stay right.
 
 
+def canonical_key(arr):
+    """Structural identity under hyperplane reordering; memoization key."""
+    return (arr.field, arr.dim, tuple(sorted(arr.hyperplanes)))
+
+
 def _reference_chi(cache, arr):
     key = canonical_key(arr)
     if key not in cache:
@@ -546,9 +556,12 @@ def test_verify_matches_reference_on_every_chain():
             flats = tuple(lat.levels[level][index] for level, index in chain)
             polys = tuple(char_data(arr if f.codim == 0 else restriction(arr, f).arrangement).chi
                           for f in flats)
-            flag = DivisionalFlag(flats, polys, None)
+            # the reference does not read the exponents; verify requires the
+            # integer roots of chi(A), so a flag that claims none is rejected
+            flag = DivisionalFlag(flats, polys, intpoly.linear_roots(polys[0]))
             verdict = flag.verify(arr)
             assert verdict == _reference_verify(flag, arr)
+            assert not DivisionalFlag(flats, polys, None).verify(arr)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -579,7 +592,7 @@ def _memoized_chains_divide(arr):
             flats.append(flat_from_members(restricted, members))
         polys = tuple(lat.restriction_chi(*where) for where in ids)
         assert tuple(f.codim for f in flats) == tuple(range(len(flats)))
-        assert DivisionalFlag(tuple(flats), polys, None).verify(restricted)
+        assert DivisionalFlag(tuple(flats), polys, intpoly.linear_roots(polys[0])).verify(restricted)
         chains += 1
     return chains
 
@@ -592,3 +605,315 @@ def test_memoized_chains_divide_in_their_own_flat():
     for _ in range(20):
         chains += _memoized_chains_divide(random_arrangement(rng, rng.randint(3, 5), rng.randint(3, 9)))
     assert chains > 100
+
+
+# The coordinate IF layer that the search on minors of L(A) replaced: every
+# node restricts, deletes and builds a new lattice, and the memo merges
+# nodes with the same sorted covectors.
+
+
+class _Budget:
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self):
+        self.used += 1
+        return self.used <= self.limit
+
+
+class _ReferenceIFSearch:
+    def __init__(self, budget):
+        self.cache = {}
+        self.memo = {}
+        self.budget = _Budget(budget)
+
+    def search(self, arr):
+        if len(arr) == 0 or arr.dim <= 2 or rank_of(arr) <= 2:
+            return True
+        key = canonical_key(arr)
+        if key in self.memo:
+            return self.memo[key][0]
+        if not self.budget.spend():
+            return _EXHAUSTED
+        exhausted = False
+        for h, restricted in _reference_ordered_hyperplanes(arr):
+            deleted = deletion(arr, h)
+            if not intpoly.divides(_reference_chi(self.cache, restricted),
+                                   _reference_chi(self.cache, deleted)):
+                continue
+            sub = self.search(restricted)
+            if sub is _EXHAUSTED:
+                exhausted = True
+                continue
+            if sub is not True:
+                continue
+            sub = self.search(deleted)
+            if sub is _EXHAUSTED:
+                exhausted = True
+                continue
+            if sub is True:
+                self.memo[key] = (True, arr.hyperplanes[h])
+                return True
+        if exhausted:
+            return _EXHAUSTED
+        self.memo[key] = (False, None)
+        return False
+
+
+def _reference_inductively_free(arr, budget=200_000):
+    search = _ReferenceIFSearch(budget)
+    verdict = search.search(arr)
+    if verdict is _EXHAUSTED:
+        return IF_EXHAUSTED, None, search.budget.used
+    if verdict is False:
+        return NOT_IF, None, search.budget.used
+    steps = []
+    current = arr
+    while len(current) > 0 and current.dim >= 3 and rank_of(current) > 2:
+        _, covector = search.memo[canonical_key(current)]
+        h = current.hyperplanes.index(covector)
+        restricted, _ = restrict_to_hyperplane(current, h)
+        steps.append(IFStep(covector, _reference_chi(search.cache, restricted)))
+        current = deletion(current, h)
+    for h in range(len(current) - 1, -1, -1):
+        chi_res = (_reference_chi(search.cache, restrict_to_hyperplane(current, h).arrangement)
+                   if current.dim >= 2 else intpoly.ONE)
+        steps.append(IFStep(current.hyperplanes[h], chi_res))
+        current = deletion(current, h)
+    steps.reverse()
+    return IF_CERTIFIED, IFCertificate(arr.field, arr.dim, tuple(steps)), search.budget.used
+
+
+def _reference_if_verify(cert, target):
+    """The old check: no test of the field or the dimension."""
+    covs = []
+    for step in cert.steps:
+        prev = make_arrangement(cert.field, cert.dim, covs) if covs else None
+        covs.append(step.covector)
+        current = make_arrangement(cert.field, cert.dim, covs)
+        restricted, _ = restrict_to_hyperplane(current, len(covs) - 1)
+        chi_res = char_data(restricted).chi
+        if chi_res != step.restriction_chi:
+            return False
+        if cert.dim >= 3:
+            prev_chi = char_data(prev).chi if prev is not None else intpoly.poly([0] * cert.dim + [1])
+            if not intpoly.divides(chi_res, prev_chi):
+                return False
+    final = make_arrangement(cert.field, cert.dim, covs)
+    return sorted(final.hyperplanes) == sorted(target.hyperplanes)
+
+
+IF_BUDGETS = (1, 2000, 20_000, 200_000)
+
+
+def _assert_if_matches_reference(arr, budgets=IF_BUDGETS):
+    statuses = []
+    ref = None
+    for budget in sorted(budgets, reverse=True):
+        result = inductively_free(arr, budget=budget)
+        if ref is None or ref[2] > budget:  # a search within budget ends the same under any larger one
+            ref = _reference_inductively_free(arr, budget)
+        assert (result.status, result.certificate) == ref[:2]
+        if result.certificate is not None:
+            assert result.certificate.verify(arr) and _reference_if_verify(result.certificate, arr)
+        statuses.append(result.status)
+    return statuses
+
+
+CATALOG_IF_INPUTS = CATALOG_FLAG_INPUTS + [
+    ("weyl-b5", weyl_b(5)),
+    ("braid-3", braid(3)),
+    ("weyl-b3", weyl_b(3)),
+    ("shi-a3-k1", shi(RootSystemSpec("A", 3), 1)),
+    ("intermediate-3-2", intermediate(3, 2, 3, 7)),
+    ("weyl-d4-over-f7", make_arrangement(PrimeField(7), 4, [[int(x) for x in c]
+                                                            for c in weyl_d(4).hyperplanes])),
+]
+
+
+@pytest.mark.parametrize("name,arr", CATALOG_IF_INPUTS, ids=[n for n, _ in CATALOG_IF_INPUTS])
+def test_if_matches_reference_catalog(name, arr):
+    _assert_if_matches_reference(arr)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 11])
+def test_if_matches_reference_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(167 if p is None else 167 + p)
+    statuses = set()
+    for _ in range(25):
+        arr = random_arrangement(rng, rng.randint(3, 5), rng.randint(3, 10), field=field)
+        statuses.update(_assert_if_matches_reference(arr))
+    assert statuses == {IF_CERTIFIED, NOT_IF, IF_EXHAUSTED}
+
+
+def _tampered(cert):
+    """Certificates that change one thing about a valid one."""
+    steps = cert.steps
+    yield "reversed", IFCertificate(cert.field, cert.dim, steps[::-1])
+    for i in range(len(steps) - 1):
+        swapped = steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:]
+        yield f"swap-{i}", IFCertificate(cert.field, cert.dim, swapped)
+        moved = (IFStep(steps[i + 1].covector, steps[i].restriction_chi),
+                 IFStep(steps[i].covector, steps[i + 1].restriction_chi))
+        yield f"swap-covectors-{i}", IFCertificate(cert.field, cert.dim, steps[:i] + moved + steps[i + 2:])
+    for i in range(len(steps)):
+        yield f"drop-{i}", IFCertificate(cert.field, cert.dim, steps[:i] + steps[i + 1:])
+        wrong = IFStep(steps[i].covector, intpoly.mul(steps[i].restriction_chi, (-1, 1)))
+        yield f"poly-{i}", IFCertificate(cert.field, cert.dim, steps[:i] + (wrong,) + steps[i + 1:])
+
+
+@pytest.mark.parametrize("name,arr", CATALOG_FLAG_INPUTS[:6], ids=[n for n, _ in CATALOG_FLAG_INPUTS[:6]])
+def test_if_verify_matches_reference_on_tampered(name, arr):
+    cert = inductively_free(arr).certificate
+    verdicts = set()
+    for label, forged in _tampered(cert):
+        verdict = forged.verify(arr)
+        assert verdict == _reference_if_verify(forged, arr), label
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_if_verify_rejects_field_and_dim_mismatch():
+    # five planes in dimension 3 that are not IF over Q but are over F_2;
+    # the old check accepted the F_2 certificate for the rational ones
+    covs = [[0, 1, 1], [1, 1, 1], [1, 0, 1], [0, 0, 1], [1, 1, 0]]
+    over_q = make_arrangement(QQ, 3, covs)
+    over_f2 = make_arrangement(PrimeField(2), 3, covs)
+    assert inductively_free(over_q).status == NOT_IF
+    cert = inductively_free(over_f2).certificate
+    assert cert.verify(over_f2)
+    assert _reference_if_verify(cert, over_q) and not cert.verify(over_q)
+    # boolean(3) has the same lattice over both fields
+    assert not inductively_free(make_arrangement(PrimeField(2), 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+                                ).certificate.verify(boolean(3))
+    wide = make_arrangement(QQ, 4, [list(c) + [0] for c in boolean(3).hyperplanes])
+    cert = inductively_free(boolean(3)).certificate
+    assert not cert.verify(wide) and not inductively_free(wide).certificate.verify(boolean(3))
+
+
+def test_if_candidates_follow_the_coordinate_numbering():
+    # random restriction and deletion paths, followed in coordinates and on
+    # L(A): at every node the candidates come in the reference's order,
+    # including nodes where a deletion above took the smallest member of a
+    # cover but not all of it
+    rng = random.Random(179)
+    checked = partial = 0
+    for _ in range(200):
+        field = rng.choice([QQ, PrimeField(5), PrimeField(7)])
+        arr = random_arrangement(rng, rng.randint(4, 5), rng.randint(5, 12), field=field)
+        lat = build_lattice(arr)
+        current = arr
+        behind = [1 << h for h in range(len(arr))]  # undeleted hyperplanes of A per hyperplane
+        level, index, deleted = 0, 0, 0
+        while len(current) and current.dim >= 3:
+            base = lat.mask(level, index)
+            cover = {j: next(k for k in lat.covers[level][index]
+                             if lat.mask(level + 1, k) & ~base & ~deleted == behind[j])
+                     for j in range(len(current))}
+            ordered = [j for j, _ in _reference_ordered_hyperplanes(current)]
+            assert _candidates(lat, level, index, deleted) == [cover[j] for j in ordered]
+            checked += 1
+            new = [lat.mask(level + 1, cover[j]) & ~base for j in range(len(current))]
+            partial += any(m & -m & deleted for m in new)
+            j = rng.randrange(len(current))
+            if rng.random() < 0.4:
+                current, trace = restrict_to_hyperplane(current, j)
+                behind = [sum(behind[i] for i in t) for t in trace]
+                level, index = level + 1, cover[j]
+            else:
+                current = deletion(current, j)
+                deleted |= new[j]
+                del behind[j]
+    assert checked > 1000 and partial >= 5
+
+
+# The geometric division helpers that one lattice per call replaced: each
+# restricts, deletes or essentializes and builds a lattice per arrangement.
+
+
+def _reference_division_answers(arr, h):
+    restricted = restrict_to_hyperplane(arr, h).arrangement
+    deleted = deletion(arr, h)
+    chi, chi_res, chi_del = (char_data(a).chi for a in (arr, restricted, deleted))
+    ell = arr.dim
+    cond4 = intpoly.divides(chi_res, chi)
+    cond5 = intpoly.divides(chi_res, chi_del)
+    cond6 = intpoly.degree(intpoly.gcd_monic(chi, chi_del)) == ell - 1
+    if len(restricted) == 0:
+        cond7, cond8 = cond4, cond5
+    else:
+        chi0_res = char_data(restricted).chi0
+        r = intpoly.sub(char_data(arr).chi0, intpoly.mul((-(len(arr) - len(restricted)), 1), chi0_res))
+        cond7 = intpoly.coeff(r, ell - 3) == 0
+        cond8 = cond5
+        if len(deleted):
+            rp = intpoly.sub(char_data(deleted).chi0,
+                             intpoly.mul((-(len(deleted) - len(restricted)), 1), chi0_res))
+            cond8 = intpoly.coeff(rp, ell - 3) == 0
+    res_rank = rank_of(restricted) if len(restricted) else 0
+    certified = True if res_rank <= 2 else free3_decide(restricted).free if res_rank == 3 else None
+    answers = {"check": cond4, "equivalences": (cond4, cond5, cond6, cond7, cond8, certified),
+               "addition": cond5}
+    if ell >= 3 and len(restricted):
+        chi0 = char_data(arr).chi0
+        root = len(arr) - len(restricted)
+        answers["remainder"] = (root, intpoly.sub(chi0, intpoly.mul((-root, 1), char_data(restricted).chi0)))
+    if rank_of(arr) == 3:
+        ess = essentialize(arr)
+        ess_res = restrict_to_hyperplane(ess, h).arrangement
+        answers["rank3"] = (char_data(ess).chi, char_data(deletion(ess, h)).chi, len(ess_res),
+                            intpoly.eval_at(char_data(ess).chi0, len(ess_res) - 1))
+    return answers
+
+
+def _division_answers(arr, h):
+    rep = division_equivalences(arr, h)
+    answers = {"check": division_check(arr, h),
+               "equivalences": rep.all_conditions() + (rep.restriction_certified_free,),
+               "addition": division_addition_check(deletion(arr, h), arr.hyperplanes[h])}
+    if arr.dim >= 3 and len(arr) > 1:
+        remainder = remainder_division(arr, h)
+        answers["remainder"] = (remainder.quotient_root, remainder.r)
+    if rank_of(arr) == 3:
+        rank3 = []
+        for d1, d2 in ((1, 1), (1, 2), (2, 3), (3, 3)):
+            conds = rank3_triple_conditions(arr, h, d1, d2)
+            rank3.append((conds.chi_splits, conds.deleted_chi_matches, conds.restriction_size_matches))
+        answers["rank3"] = (rank3, rank3_division_remainder(arr, h))
+    return answers
+
+
+def _assert_division_matches_reference(arr):
+    for h in range(len(arr)):
+        ref = _reference_division_answers(arr, h)
+        got = _division_answers(arr, h)
+        for key in ("check", "equivalences", "addition"):
+            assert got[key] == ref[key], key
+        assert got.get("remainder") == ref.get("remainder")
+        if "rank3" in ref:
+            chi, chi_del, size, remainder = ref["rank3"]
+            expected = [(chi == intpoly.from_roots([1, d1, d2]),
+                         chi_del == intpoly.from_roots([1, d1, d2 - 1]), size == d1 + 1)
+                        for d1, d2 in ((1, 1), (1, 2), (2, 3), (3, 3))]
+            assert got["rank3"] == (expected, remainder)
+
+
+@pytest.mark.parametrize("name,arr", CATALOG_FLAG_INPUTS, ids=[n for n, _ in CATALOG_FLAG_INPUTS])
+def test_division_helpers_match_reference_catalog(name, arr):
+    _assert_division_matches_reference(arr)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 11])
+def test_division_helpers_match_reference_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(181 if p is None else 181 + p)
+    for _ in range(15):
+        arr = random_arrangement(rng, rng.randint(3, 5), rng.randint(1, 9), field=field)
+        _assert_division_matches_reference(arr)
+    # rank 3 in dimension 5, where the rank-3 helpers shift out t^2
+    for _ in range(5):
+        arr = random_arrangement(rng, 3, rng.randint(4, 7), field=field)
+        _assert_division_matches_reference(
+            make_arrangement(field, 5, [list(cov) + [0, 0] for cov in arr.hyperplanes]))

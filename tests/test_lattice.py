@@ -3,7 +3,7 @@ import random
 import pytest
 
 from divflag import intpoly
-from divflag.arrangement import deletion, make_arrangement, restrict_to_hyperplane, restriction
+from divflag.arrangement import Flat, deletion, make_arrangement, restrict_to_hyperplane, restriction
 from divflag.catalog import (
     CATALOG_NAMES,
     boolean,
@@ -244,6 +244,64 @@ def test_interval_queries_random(p):
         for _ in range(8):
             arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
             _assert_interval_queries(arr)
+
+
+def _geometric_minor(arr, lat, level, index, deleted):
+    """(A − S)^X built with ``deletion`` then ``restriction`` onto the
+    subspace X, whose defining hyperplanes may be among those deleted."""
+    minor = arr
+    for h in reversed(range(len(arr))):
+        if deleted >> h & 1:
+            minor = deletion(minor, h)
+    if level == 0:
+        return minor
+    flat = lat.levels[level][index]
+    kept = [h for h in range(len(arr)) if not deleted >> h & 1]
+    members = tuple(kept.index(h) for h in flat.members if h in kept)
+    return restriction(minor, Flat(minor, level, members, flat.normal_space)).arrangement
+
+
+def _assert_minor_charpolys(arr, rng, tries=3):
+    """restriction_chi(level, index, S) against char_data of (A − S)^X on
+    every flat X with a positive dimension, for random S, the members of X,
+    and every hyperplane but one class of covers."""
+    lat = build_lattice(arr)
+    n = len(arr)
+    for level, flats in enumerate(lat.levels[:arr.dim]):
+        for index in range(len(flats)):
+            base = lat.mask(level, index)
+            masks = [rng.getrandbits(n) for _ in range(tries)] + [base]
+            if lat.covers[level][index]:
+                keep = lat.mask(level + 1, lat.covers[level][index][0]) & ~base
+                masks.append(((1 << n) - 1) & ~keep)
+            for deleted in masks:
+                minor = _geometric_minor(arr, lat, level, index, deleted)
+                assert lat.restriction_chi(level, index, deleted) == char_data(minor).chi
+    assert lat.restriction_chi(0, 0, (1 << n) - 1) == intpoly.poly([0] * arr.dim + [1])
+
+
+@pytest.mark.parametrize("name,arr", [(n, a) for n, a in _catalog_arrangements() if len(a) <= 16])
+def test_minor_charpolys_catalog(name, arr):
+    _assert_minor_charpolys(arr, random.Random(len(arr)), tries=1)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 11])
+def test_minor_charpolys_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(173 if p is None else 173 + p)
+    for dim in range(2, 6):
+        available = 9 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(6):
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
+            _assert_minor_charpolys(arr, rng)
+
+
+def test_atom():
+    lat = build_lattice(weyl_b(3))
+    assert all(lat.mask(1, lat.atom(h)) == 1 << h for h in range(9))
+    for h in (-1, 9):
+        with pytest.raises(IndexError):
+            lat.atom(h)
 
 
 def test_locate_rejects_unclosed_sets():
