@@ -1,14 +1,14 @@
 """Central hyperplane arrangements and their basic constructions.
 
 An arrangement is an ambient dimension plus a duplicate-free list of
-normalized covectors over one field.  Flats are stored as canonical rref
-normal spaces together with the maximal set of hyperplane indices
-containing them, which makes flat identity a tuple comparison.
+normalized covectors over one field.  Flats are stored as the maximal set
+of hyperplane indices containing them, which makes flat identity a tuple
+comparison; their canonical rref normal spaces are computed on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import (
@@ -60,13 +60,23 @@ def make_arrangement(field: Field, dim: int, covectors: Iterable[Sequence]) -> A
 
 @dataclass(frozen=True)
 class Flat:
-    """Element of the intersection lattice: canonical normal space plus
-    the full set of hyperplane indices containing it."""
+    """Element of the intersection lattice: the full set of hyperplane
+    indices containing it, and its canonical normal space, the rref of
+    their covectors, computed on first read unless given and then cached
+    (the cache takes no part in equality or hashing)."""
 
     parent: Arrangement
     codim: int
     members: tuple[int, ...]
-    normal_space: Matrix
+    _normal_space: Matrix | None = dc_field(default=None, repr=False, compare=False)
+
+    @property
+    def normal_space(self) -> Matrix:
+        if self._normal_space is None:
+            arr = self.parent
+            rows, _ = _rref_rows(arr.field, [arr.hyperplanes[h] for h in self.members])
+            object.__setattr__(self, "_normal_space", Matrix(arr.field, rows, arr.dim))
+        return self._normal_space
 
 
 def top_flat(arr: Arrangement) -> Flat:
@@ -87,7 +97,7 @@ def flat_from_members(arr: Arrangement, members: Iterable[int]) -> Flat:
     for h in idx:
         if not 0 <= h < len(arr):
             raise IndexError(f"hyperplane index {h} out of range")
-    rows, pivots = _rref_rows(arr.field, [arr.hyperplanes[h] for h in idx], arr.dim)
+    rows, pivots = _rref_rows(arr.field, [arr.hyperplanes[h] for h in idx])
     return _flat_from_rref(arr, rows, pivots)
 
 
@@ -201,7 +211,7 @@ def cone(field: Field, dim: int, affine: Iterable[tuple[Sequence, object]]) -> A
 
 
 def rank_of(arr: Arrangement) -> int:
-    _, pivots = _rref_rows(arr.field, arr.hyperplanes, arr.dim)
+    _, pivots = _rref_rows(arr.field, arr.hyperplanes)
     return len(pivots)
 
 
@@ -212,7 +222,7 @@ def essentialize(arr: Arrangement) -> Arrangement:
     each covector is rewritten in that basis by reading its pivot-column
     entries, which is injective on the span so no hyperplanes collide.
     """
-    _, pivots = _rref_rows(arr.field, arr.hyperplanes, arr.dim)
+    _, pivots = _rref_rows(arr.field, arr.hyperplanes)
     covs = [tuple(cov[p] for p in pivots) for cov in arr.hyperplanes]
     return make_arrangement(arr.field, len(pivots), covs)
 

@@ -3,15 +3,16 @@
 Scalars are plain values: ``fractions.Fraction`` over Q (always in lowest
 terms with positive denominator), canonical residues in ``[0, p)`` over F_p.
 Field objects supply the arithmetic so the matrix routines stay field
-generic, except that reduced row echelon forms over Q are computed by
-fraction-free elimination on integers; everything is immutable and
-deterministic.
+generic, except that reduced row echelon forms are computed in plain int
+arithmetic, on residues over F_p and by fraction-free elimination over Q;
+everything is immutable and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -208,92 +209,41 @@ class RrefResult(NamedTuple):
     pivots: tuple[int, ...]
 
 
-def _rref_rows(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int):
-    """Reduced row echelon form on raw rows; returns (rows, pivots)."""
+def integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """A rational row times the lcm of its denominators: primitive when the
+    row has a unit entry, as a normalized covector does."""
+    den = lcm(*[x.denominator for x in row])
+    return tuple([x.numerator * (den // x.denominator) for x in row])
+
+
+def int_elimination(field: Field):
+    """The plain-int elimination of the field: (the int form of a row of
+    scalars, the insertion of one int row into a reduced row set).  Over Q
+    the rows are fraction-free (``extend_rref_int``), over F_p residues in
+    rref (``extend_rref_mod``); either row set is unique for its row space."""
     if field.kind == "Q":
-        return _rref_rows_q(rows, ncols)
-    work = [list(r) for r in rows]
-    zero = field.zero
-    sub, mul, inv = field.sub, field.mul, field.inv
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(pr, len(work)):
-            if work[r][c] != zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[pr], work[pivot] = work[pivot], work[pr]
-        row = work[pr]
-        scale = inv(row[c])
-        if scale != field.one:
-            work[pr] = row = [mul(scale, x) for x in row]
-        for r in range(len(work)):
-            if r == pr:
-                continue
-            factor = work[r][c]
-            if factor != zero:
-                other = work[r]
-                work[r] = [sub(other[j], mul(factor, row[j])) for j in range(ncols)]
-        pivots.append(c)
-        pr += 1
-        if pr == len(work):
-            break
-    reduced = tuple(tuple(work[r]) for r in range(pr))
-    return reduced, tuple(pivots)
+        return integer_row, extend_rref_int
+    return tuple, partial(extend_rref_mod, field.p)
 
 
-def _rref_rows_q(rows: Sequence[Sequence[Scalar]], ncols: int):
-    """``_rref_rows`` over Q by fraction-free Gauss-Jordan elimination.
-
-    Rows are scaled to integers; each elimination cross-multiplies with the
-    gcd of the two entries cancelled, ``(a/g)*other - (f/g)*row``, and
-    divides the new row by its content, so no ``Fraction`` is built until
-    each pivot row is divided by its pivot at the end.  The result equals
-    the field-generic loop's by uniqueness of the reduced echelon form.
-    """
-    work = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        ints = [x.numerator * (den // x.denominator) for x in r]
-        if any(ints):
-            work.append(ints)
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        if pr == len(work):
-            break
-        for r in range(pr, len(work)):
-            if work[r][c]:
-                break
-        else:
-            continue
-        work[pr], work[r] = work[r], work[pr]
-        row = work[pr]
-        a = row[c]
-        for r, other in enumerate(work):
-            f = other[c]
-            if f and r != pr:
-                g = gcd(a, f)
-                a_g, f_g = a // g, f // g
-                new = [a_g * x - f_g * y for x, y in zip(other, row)]
-                content = gcd(*new)
-                if content > 1:  # 0 when the row became zero
-                    new = [x // content for x in new]
-                work[r] = new
-        pivots.append(c)
-        pr += 1
-    reduced = tuple(
-        tuple(Fraction(x, work[i][c]) for x in work[i]) for i, c in enumerate(pivots)
-    )
-    return reduced, tuple(pivots)
+def _rref_rows(field: Field, rows: Iterable[Sequence[Scalar]]):
+    """Reduced row echelon form on raw rows; returns (rows, pivots).  The
+    rows are inserted one at a time by ``int_elimination``; over Q the
+    fraction-free rows are divided by their pivots at the end."""
+    to_int, extend = int_elimination(field)
+    reduced, pivots = (), ()
+    for row in rows:
+        extended = extend(reduced, pivots, to_int(row))
+        if extended is not None:
+            reduced, pivots = extended
+    if field.kind == "Q":
+        reduced = tuple(tuple([Fraction(x, row[c]) for x in row]) for row, c in zip(reduced, pivots))
+    return reduced, pivots
 
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
-    rows, pivots = _rref_rows(m.field, m.rows, m.ncols)
+    rows, pivots = _rref_rows(m.field, m.rows)
     return RrefResult(Matrix(m.field, rows, m.ncols), len(rows), pivots)
 
 
@@ -390,10 +340,60 @@ def extend_rref_mod(p: int, rows, pivots, vector):
     return tuple(new_rows), tuple(new_pivots)
 
 
+def extend_rref_int(rows, pivots, vector):
+    """``extend_rref`` over Q on integer rows, by fraction-free elimination;
+    the vector is any integer vector.
+
+    Each row is primitive with a positive pivot and is zero in the other
+    rows' pivot columns: a positive multiple of the rref row with the same
+    pivot, hence unique, so the rows key the row space exactly.  Each
+    elimination cross-multiplies by the two entries over their gcd, and each
+    new row is divided by its content.
+    """
+    v = vector
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            g = gcd(row[c], f)
+            a, f = row[c] // g, f // g
+            v = [a * x - f * y for x, y in zip(v, row)]
+    content = gcd(*v)
+    if not content:
+        return None
+    for lead, x in enumerate(v):
+        if x:
+            break
+    if x < 0:
+        content = -content
+    v = tuple([x // content for x in v])
+    a = v[lead]
+    new_rows = []
+    new_pivots = []
+    inserted = False
+    for row, c in zip(rows, pivots):
+        if not inserted and lead < c:
+            new_rows.append(v)
+            new_pivots.append(lead)
+            inserted = True
+        f = row[lead]
+        if f:
+            g = gcd(a, f)
+            a_g, f_g = a // g, f // g
+            row = [a_g * x - f_g * y for x, y in zip(row, v)]
+            content = gcd(*row)
+            row = tuple([x // content for x in row])
+        new_rows.append(row)
+        new_pivots.append(c)
+    if not inserted:
+        new_rows.append(v)
+        new_pivots.append(lead)
+    return tuple(new_rows), tuple(new_pivots)
+
+
 def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
     """Canonical kernel basis read off the free columns of the rref."""
     field = m.field
-    rows, pivots = _rref_rows(field, m.rows, m.ncols)
+    rows, pivots = _rref_rows(field, m.rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []

@@ -65,20 +65,12 @@ def _flag_ends(lattice: IntersectionLattice, level: int, index: int) -> bool:
     return lattice.arrangement.dim - level <= 2 or not lattice.covers[level][index]
 
 
-def _restriction_atom(lattice: IntersectionLattice, h: int) -> int:
-    """Level-1 index of hyperplane h; A^H must have a positive dimension."""
-    atom = lattice.atom(h)
-    if lattice.arrangement.dim < 2:
-        raise ValueError("cannot restrict to a zero-dimensional flat")
-    return atom
-
-
 def division_check(arr: Arrangement, h: int) -> bool:
     """Does the restriction's charpoly divide the full one at hyperplane h?"""
     if len(arr) == 0:
         raise ValueError("division check needs a nonempty arrangement")
     lattice = build_lattice(arr)
-    return intpoly.divides(lattice.restriction_chi(1, _restriction_atom(lattice, h)),
+    return intpoly.divides(lattice.restriction_chi(1, lattice.atom(h)),
                            lattice.restriction_chi(0, 0))
 
 
@@ -259,9 +251,7 @@ class _IFSearch:
             return True
         lat = self.lattice
         base = lat.mask(level, index)
-        # the minor is the same for every S that deletes the same covers
-        key = (base, sum(m for m in (lat.mask(level + 1, k) & ~base for k in lat.covers[level][index])
-                         if not m & ~deleted))
+        key = (base, lat.deleted_classes(level, index, deleted))
         if key in self.memo:
             return self.memo[key][0]
         self.nodes += 1
@@ -384,7 +374,7 @@ def division_addition_check(arr: Arrangement, covector) -> bool:
     extended = add_hyperplane(arr, covector)
     lattice = build_lattice(extended)
     added = len(arr)
-    return intpoly.divides(lattice.restriction_chi(1, _restriction_atom(lattice, added)),
+    return intpoly.divides(lattice.restriction_chi(1, lattice.atom(added)),
                            lattice.restriction_chi(0, 0, 1 << added))
 
 
@@ -418,7 +408,7 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
         raise ValueError("division equivalences need a nonempty arrangement")
     ell = arr.dim
     lattice = build_lattice(arr)
-    atom = _restriction_atom(lattice, h)
+    atom = lattice.atom(h)
     n_res = len(lattice.covers[1][atom])  # |A^H|
     chi = lattice.restriction_chi(0, 0)
     chi_res = lattice.restriction_chi(1, atom)

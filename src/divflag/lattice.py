@@ -3,14 +3,15 @@ and two independent oracles for cross-checking them.
 
 The lattice is built rank by rank: each level is the deduplicated set of
 one-hyperplane extensions Y ∧ H_h (h > max Y) of the previous one, keyed by
-the canonical rref of the flat's normal space over F_p: the field's own
-prime, or over Q the prime MODULUS when the Hadamard bound shows that
-reduction mod MODULUS keeps every rank.  Only those extensions touch
-coordinates.  A flat's member set is the union of members(Y) ∪ {h}
-over the pairs (Y, h) that reach it (matroid closure), and its Möbius
-value follows from Weisner's theorem with the atom of its largest member,
-so neither needs arithmetic.  Member sets are kept as bitmasks so interval
-containment (reverse inclusion) is a single subset test.
+a canonical row set of the flat's normal space: its rref over F_p, and over
+Q its fraction-free reduced integer rows, which are exact for any
+coefficients.  Only those extensions touch coordinates, and a flat's
+normal space is computed only when it is read.  A flat's member set is the
+union of members(Y) ∪ {h} over the pairs (Y, h) that reach it (matroid
+closure), and its Möbius value follows from Weisner's theorem with the
+atom of its largest member, so neither needs arithmetic.  Member sets are
+kept as bitmasks so interval containment (reverse inclusion) is a single
+subset test.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from math import lcm
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, make_arrangement, ArrangementError
-from .exactalg import Matrix, QQ, extend_rref, extend_rref_mod, _rref_rows
-
-
-# A Mersenne prime: rational arrangements whose Hadamard bound is below it
-# are eliminated mod MODULUS in plain int arithmetic.
-MODULUS = 2**61 - 1
+from .exactalg import QQ, int_elimination, integer_row, _rref_rows
 
 
 class EmptyArrangementError(ValueError):
@@ -95,12 +91,24 @@ class IntersectionLattice:
             raise IndexError(f"hyperplane index {h} out of range")
         return self.locate((h,))[1]
 
+    def deleted_classes(self, level: int, index: int, deleted: int) -> int:
+        """The union of the cover classes members(Y) − members(X) of
+        X = levels[level][index] that lie inside the bitmask ``deleted``.
+        The minor (A − S)^X depends on S only through it."""
+        base = self._masks[level][index]
+        classes = (self._masks[level + 1][k] & ~base for k in self.covers[level][index])
+        return sum(m for m in classes if not m & ~deleted)
+
     def restriction_chi(self, level: int, index: int, deleted: int = 0) -> intpoly.IntPoly:
         """χ((A − S)^X; t) = Σ_Z μ(X, Z) t^{dim Z} for X = levels[level][index],
         S the bitmask ``deleted``, over the flats Z = W ∧ K of the minor: W its
         flat one level down, K ∉ S.  Weisner's theorem with the atom K =
         max(members Z − members X − S) gives μ(X, Z) = −Σ μ(X, W) over the
-        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅)."""
+        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅).
+        S is first reduced to ``deleted_classes``, so one minor is computed
+        once whichever S reaches it."""
+        if deleted:
+            deleted = self.deleted_classes(level, index, deleted)
         chi = self._chis.get((level, index, deleted))
         if chi is None:
             if not self.complete:
@@ -125,40 +133,19 @@ class IntersectionLattice:
         return chi
 
 
-def hadamard_bound_sq(int_rows, k: int) -> int:
-    """The square of a bound on |det| of every square submatrix of at most
-    k rows of the nonzero integer rows: the product of their k largest
-    squared norms (Hadamard's inequality; the norms are at least 1)."""
-    bound = 1
-    for norm in sorted((sum(x * x for x in row) for row in int_rows), reverse=True)[:k]:
-        bound *= norm
-    return bound
-
-
-def _key_covectors(arr: Arrangement):
-    """Residues that key the flats by their rref over F_p, with p; None over
-    Q when the Hadamard bound of the primitive integer covectors reaches
-    MODULUS, so some minor that is nonzero over Q might vanish mod p."""
-    if arr.field != QQ:
-        return arr.hyperplanes, arr.field.p
-    covs = integer_covectors(arr)
-    if hadamard_bound_sq(covs, min(arr.dim, len(covs))) >= MODULUS * MODULUS:
-        return None, None
-    return [tuple(x % MODULUS for x in cov) for cov in covs], MODULUS
-
-
 def _row_order(field, level):
     """Sort key ordering the entries of a level by their rows (entry[0]).
 
-    Over Q the rows are cleared of one common denominator: every flat of a
-    level has as many rows, so the flattened integers sort in the same
-    order, and the sort compares ints instead of Fractions.
+    Over Q the rows are fraction-free: row i, scaled by L/d_i for d_i its
+    pivot and L the lcm of the level's pivots, is L times the rref row.
+    Every flat of a level has as many rows, so the flattened integers sort
+    in the order of the rref rows, and the sort compares ints.
     """
     if field != QQ:
         return lambda entry: entry[0]
-    den = lcm(*(x.denominator for entry in level for row in entry[0] for x in row))
-    return lambda entry: tuple(x.numerator * (den // x.denominator)
-                               for row in entry[0] for x in row)
+    den = lcm(*(row[c] for entry in level for row, c in zip(entry[0], entry[1])))
+    return lambda entry: tuple(x * (den // row[c]) for row, c in zip(entry[0], entry[1])
+                               for x in row)
 
 
 def build_lattice(arr: Arrangement, max_codim: int | None = None) -> IntersectionLattice:
@@ -177,64 +164,48 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     *Arrangements of Hyperplanes*, ch. 2).  The largest h among X's pairs
     is m, so one running (h, Σμ) per flat suffices.
 
-    Pairs are keyed by the rref over F_p of their covectors.  Over Q that is
-    exact when every minor of the primitive integer covectors is below p in
-    absolute value (von zur Gathen–Gerhard, *Modern Computer Algebra*,
-    ch. 5): a minor that is nonzero over Q then stays nonzero mod p, so
-    every set of hyperplanes keeps its rank.  The rational normal space is
-    computed once per flat, from the first pair that reaches it.  When the
-    bound fails, the pairs are keyed by their rational normal spaces.
+    Pairs are keyed by a canonical row set of their normal space, built in
+    plain int arithmetic (``int_elimination``): the rref over F_p, and over
+    Q the fraction-free reduced rows of the integer covectors, which are
+    exact for any coefficients.  The flats' normal spaces are left to be
+    computed on demand.
     """
     field = arr.field
     n = len(arr)
     dim = arr.dim
     limit = dim if max_codim is None else min(max_codim, dim)
-    keys, p = _key_covectors(arr)
-    separate_normals = keys is not None and field == QQ  # residues, not the normal spaces
+    to_int, extend = int_elimination(field)
+    covectors = [to_int(cov) for cov in arr.hyperplanes]
 
-    # per level: (rows, pivots, member mask, Möbius value), and the key
-    # (rows, pivots) of each flat of the last level
+    # per level: (rows, pivots, member mask, Möbius value)
     levels_raw = [[((), (), 0, 1)]]
-    frontier = [((), ())]
     while len(levels_raw) - 1 < limit:
-        # key rows -> [rows, pivots, key pivots, member mask, largest h seen,
-        # Σμ over pairs with that h]
+        # rows -> [pivots, member mask, largest h seen, Σμ over pairs with that h]
         found: dict[tuple, list] = {}
-        for (rows, pivots, mask, mu), (key_rows, key_pivots) in zip(levels_raw[-1], frontier):
+        for rows, pivots, mask, mu in levels_raw[-1]:
             # members all precede the start index, so no membership check here
             for h in range(mask.bit_length(), n):
-                if keys is None:
-                    extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
-                else:
-                    extended = extend_rref_mod(p, key_rows, key_pivots, keys[h])
+                extended = extend(rows, pivots, covectors[h])
                 if extended is None:
                     continue
-                new_key, new_key_pivots = extended
-                entry = found.get(new_key)
+                entry = found.get(extended[0])
                 if entry is None:
-                    if separate_normals:
-                        extended = extend_rref(field, rows, pivots, arr.hyperplanes[h])
-                    found[new_key] = [*extended, new_key_pivots, mask | 1 << h, h, mu]
+                    found[extended[0]] = [extended[1], mask | 1 << h, h, mu]
                     continue
-                entry[3] |= mask | 1 << h
-                if h > entry[4]:
-                    entry[4] = h
-                    entry[5] = mu
-                elif h == entry[4]:
-                    entry[5] += mu
+                entry[1] |= mask | 1 << h
+                if h > entry[2]:
+                    entry[2] = h
+                    entry[3] = mu
+                elif h == entry[2]:
+                    entry[3] += mu
         if not found:
             break
-        level = [(rows, pivots, mask, -mu_sum, key, key_pivots)
-                 for key, (rows, pivots, key_pivots, mask, _, mu_sum) in found.items()]
+        level = [(rows, pivots, mask, -mu_sum) for rows, (pivots, mask, _, mu_sum) in found.items()]
         level.sort(key=_row_order(field, level))
-        levels_raw.append([entry[:4] for entry in level])
-        frontier = [entry[4:] for entry in level]
+        levels_raw.append(level)
 
     flats = tuple(
-        tuple(
-            Flat(arr, codim, tuple(h for h in range(n) if mask >> h & 1), Matrix(field, rows, dim))
-            for rows, _, mask, _ in level
-        )
+        tuple(Flat(arr, codim, tuple(h for h in range(n) if mask >> h & 1)) for _, _, mask, _ in level)
         for codim, level in enumerate(levels_raw)
     )
 
@@ -327,7 +298,7 @@ def whitney_oracle(arr: Arrangement) -> intpoly.IntPoly:
     field = arr.field
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
-            _, pivots = _rref_rows(field, [arr.hyperplanes[h] for h in subset], arr.dim)
+            _, pivots = _rref_rows(field, [arr.hyperplanes[h] for h in subset])
             coeffs[arr.dim - len(pivots)] += (-1) ** size
     return intpoly.poly(coeffs)
 
@@ -336,12 +307,7 @@ def integer_covectors(arr: Arrangement) -> list[tuple[int, ...]]:
     """Primitive integer representatives of the hyperplanes (Q only)."""
     if arr.field != QQ:
         raise ValueError("integer covectors only make sense over Q")
-    out = []
-    for cov in arr.hyperplanes:
-        mult = lcm(*[c.denominator for c in cov])
-        ints = [int(c * mult) for c in cov]
-        out.append(tuple(ints))
-    return out
+    return [integer_row(cov) for cov in arr.hyperplanes]
 
 
 def point_count_oracle(arr: Arrangement, q: int) -> int:

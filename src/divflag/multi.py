@@ -84,7 +84,7 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiArrangement:
 
 def _two_coordinates(arr: Arrangement) -> list[tuple]:
     """Essentialize a rank-2 arrangement to two canonical coordinates."""
-    rows, pivots = _rref_rows(arr.field, arr.hyperplanes, arr.dim)
+    rows, pivots = _rref_rows(arr.field, arr.hyperplanes)
     if len(pivots) != 2:
         raise ValueError(f"expected a rank-2 arrangement, got rank {len(pivots)}")
     return [normalize_covector(arr.field, (cov[pivots[0]], cov[pivots[1]])) for cov in arr.hyperplanes]
@@ -248,7 +248,7 @@ def _shift_theta(field: Field, theta, d_from: int, d_to: int, offset: int):
 
 def _independent_second(field: Field, theta1, d1, kernel, d):
     multiples = [_shift_theta(field, theta1, d1, d, off) for off in range(d - d1 + 1)]
-    span_rows, span_pivots = _rref_rows(field, multiples, 2 * (d + 1))
+    span_rows, span_pivots = _rref_rows(field, multiples)
     for vec in kernel:
         if extend_rref(field, span_rows, span_pivots, vec) is not None:
             return vec

@@ -170,8 +170,8 @@ def _affine_whitney(field, dim, affine, t):
         for subset in itertools.combinations(affine, size):
             rows = [list(cov) for cov, _ in subset]
             aug = [list(cov) + [c] for cov, c in subset]
-            _, piv = _rref_rows(field, rows, dim)
-            _, piv_aug = _rref_rows(field, aug, dim + 1)
+            _, piv = _rref_rows(field, rows)
+            _, piv_aug = _rref_rows(field, aug)
             if len(piv) == len(piv_aug):  # consistent system
                 total += (-1) ** size * t ** (dim - len(piv))
     return total

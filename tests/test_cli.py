@@ -241,6 +241,23 @@ def test_if_certificate_in_dimension_one_reverifies(tmp_path):
     assert _verify_exit(tmp_path, arr_path, cert) == 0
 
 
+def test_same_eq_in_dimension_one(tmp_path, capsys):
+    arr_path = tmp_path / "line.json"
+    arr_path.write_text(json.dumps({"field": "Q", "dim": 1, "hyperplanes": [[1]]}))
+    capsys.readouterr()
+    assert run(["same-eq", str(arr_path), "--pivot", "0"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == [
+        "chi(A^H) | chi(A): True",
+        "chi(A^H) | chi(A'): True",
+        "gcd degree dim-1: True",
+        "r0 = 0: True",
+        "r0' = 0: True",
+        "restriction certified free: True",
+    ]
+
+
 def test_tampered_certificate_rejected(tmp_path):
     arr_path = tmp_path / "er.json"
     cert_path = tmp_path / "cert.json"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from divflag.exactalg import (
     QQ,
     PRIME_LIMIT,
     extend_rref,
+    extend_rref_int,
     extend_rref_mod,
     is_prime,
     kernel_basis,
@@ -52,10 +54,9 @@ def test_rref_idempotent_random():
         assert r1.matrix == r2.matrix
 
 
-def _reference_rref_rows(rows, ncols):
-    """The field-generic Gauss-Jordan loop of ``_rref_rows`` run over Q on
-    ``Fraction`` entries, which the fraction-free elimination replaced."""
-    field = QQ
+def _reference_rref_rows(rows, ncols, field=QQ):
+    """Field-generic Gauss-Jordan elimination on field scalars (``Fraction``
+    entries over Q), a test oracle for the integer paths of ``_rref_rows``."""
     work = [list(r) for r in rows]
     zero = field.zero
     sub, mul, inv = field.sub, field.mul, field.inv
@@ -109,7 +110,22 @@ def test_rref_rows_q_matches_fraction_elimination(shape):
             rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) * x for x in rows[0]])
             rows.append([Fraction(0)] * ncols)
             rng.shuffle(rows)
-        assert _rref_rows(QQ, rows, ncols) == _reference_rref_rows(rows, ncols)
+        assert _rref_rows(QQ, rows) == _reference_rref_rows(rows, ncols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_rref_rows_fp_matches_field_elimination(p):
+    field = PrimeField(p)
+    rng = random.Random(41 + p % 1000)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, 1, rng.randrange(p)]) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 8))]
+        if rows and rng.random() < 0.4:  # a proportional row and a zero row
+            rows.append([field.mul(rng.randrange(p), x) for x in rows[0]])
+            rows.append([0] * ncols)
+            rng.shuffle(rows)
+        assert _rref_rows(field, rows) == _reference_rref_rows(rows, ncols, field)
 
 
 def test_rref_rows_q_edge_cases():
@@ -123,10 +139,10 @@ def test_rref_rows_q_edge_cases():
         ([[Fraction(10**30, 7), Fraction(1, 10**20)], [Fraction(1), Fraction(-1, 3)]], 2),
     ]
     for rows, ncols in cases:
-        result = _rref_rows(QQ, rows, ncols)
+        result = _rref_rows(QQ, rows)
         assert result == _reference_rref_rows(rows, ncols)
         assert all(type(x) is Fraction for row in result[0] for x in row)
-    assert _rref_rows(QQ, [[half, third], [Fraction(3), Fraction(2)]], 2) == \
+    assert _rref_rows(QQ, [[half, third], [Fraction(3), Fraction(2)]]) == \
         (((Fraction(1), Fraction(2, 3)),), (0,))
 
 
@@ -219,6 +235,58 @@ def test_extend_rref_mod_matches_prime_field():
             rows = tuple(r.matrix.rows)
             assert extend_rref_mod(p, rows, r.pivots, extra) == \
                 extend_rref(field, rows, r.pivots, extra)
+
+
+def _battery_vector(rng, rows, cols):
+    """A random integer vector: wide, a combination of the rows so far (a
+    zero residual), a multiple of one of them, or one with a non-unit lead."""
+    kind = rng.randrange(4)
+    if kind == 1 and rows:
+        return tuple(sum(rng.randint(-3, 3) * row[j] for row in rows) for j in range(cols))
+    if kind == 2 and rows:
+        factor = rng.choice([-5, -1, 2, 7])
+        return tuple(factor * x for x in rng.choice(rows))
+    if kind == 3:
+        return tuple([0] * rng.randrange(cols) + [rng.choice([-6, 2, 3, 4])]
+                     + [rng.randint(-3, 3) for _ in range(cols)])[:cols]
+    bound = 10 ** rng.randint(1, 15)
+    return tuple(rng.randint(-bound, bound) for _ in range(cols))
+
+
+def test_extend_rref_int_matches_rational():
+    rng = random.Random(29)
+    nones = 0
+    for _ in range(150):
+        cols = rng.randint(1, 6)
+        rows_int, pivots_int = (), ()
+        rows_q, pivots_q = (), ()
+        added = []
+        for _ in range(rng.randint(1, cols + 2)):
+            vec = _battery_vector(rng, added, cols)
+            added.append(vec)
+            if not any(vec):
+                continue
+            ext_int = extend_rref_int(rows_int, pivots_int, vec)
+            ext_q = extend_rref(QQ, rows_q, pivots_q, [Fraction(x) for x in vec])
+            assert (ext_int is None) == (ext_q is None)
+            if ext_int is None:
+                nones += 1
+                continue
+            rows_int, pivots_int = ext_int
+            rows_q, pivots_q = ext_q
+            assert pivots_int == pivots_q
+            for row, c in zip(rows_int, pivots_int):
+                assert row[c] > 0 and gcd(*row) == 1
+                assert all(row[d] == 0 for d in pivots_int if d != c)
+            assert tuple(tuple(Fraction(x, row[c]) for x in row)
+                         for row, c in zip(rows_int, pivots_int)) == rows_q
+    assert nones > 20
+
+
+def test_extend_rref_int_keeps_a_non_unit_pivot():
+    assert extend_rref_int((), (), (-4, 2, 6)) == (((2, -1, -3),), (0,))
+    assert extend_rref_int(((2, -1, -3),), (0,), (0, 3, 0)) == (((2, 0, -3), (0, 1, 0)), (0, 1))
+    assert extend_rref_int(((2, 0, -3), (0, 1, 0)), (0, 1), (4, 5, -6)) is None
 
 
 def _trial_division(n):

@@ -917,3 +917,13 @@ def test_division_helpers_match_reference_random(p):
         arr = random_arrangement(rng, 3, rng.randint(4, 7), field=field)
         _assert_division_matches_reference(
             make_arrangement(field, 5, [list(cov) + [0, 0] for cov in arr.hyperplanes]))
+
+
+def test_division_helpers_in_dimension_one():
+    # A^H is the zero-dimensional flat, whose empty arrangement has chi 1
+    line = make_arrangement(QQ, 1, [[1]])
+    assert division_check(line, 0)
+    assert division_addition_check(make_arrangement(QQ, 1, []), [3])
+    report = division_equivalences(line, 0)
+    assert report.all_conditions() == (True,) * 5
+    assert report.restriction_certified_free is True

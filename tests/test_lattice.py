@@ -1,9 +1,18 @@
+import fractions
 import random
+import sys
 
 import pytest
 
 from divflag import intpoly
-from divflag.arrangement import Flat, deletion, make_arrangement, restrict_to_hyperplane, restriction
+from divflag.arrangement import (
+    Flat,
+    deletion,
+    flat_from_members,
+    make_arrangement,
+    restrict_to_hyperplane,
+    restriction,
+)
 from divflag.catalog import (
     CATALOG_NAMES,
     boolean,
@@ -12,14 +21,12 @@ from divflag.catalog import (
     edelman_reiner_restriction,
     weyl_b,
 )
-from divflag.exactalg import QQ, PrimeField, extend_rref, is_prime, reduce_against
+from divflag.exactalg import QQ, PrimeField, extend_rref, reduce_against
 from divflag.lattice import (
-    MODULUS,
     BadPrimeError,
     EmptyArrangementError,
     build_lattice,
     char_data,
-    hadamard_bound_sq,
     integer_covectors,
     point_count_oracle,
     rank2_flats,
@@ -160,18 +167,19 @@ def test_build_matches_reference_random(p):
             _assert_matches_reference(arr, max_codim=rng.randint(1, 2))
 
 
-# (1, 0) and (1, MODULUS) are distinct lines that coincide mod MODULUS
+# (1, 0) and (1, MODULUS) are distinct lines that coincide mod the prime
+# MODULUS, so a key computed mod a prime would merge them
+MODULUS = 2**61 - 1
 COLLIDING = [(1, 0), (1, MODULUS), (1, 1)]
 
 
-def test_modulus_is_prime():
-    assert is_prime(MODULUS)
-
-
-def test_hadamard_bound():
-    assert hadamard_bound_sq(integer_covectors(weyl_b(6)), 6) == 64
-    arr = make_arrangement(QQ, 2, COLLIDING)
-    assert hadamard_bound_sq(integer_covectors(arr), 2) >= MODULUS * MODULUS
+def _hadamard_bound_sq(int_rows, k):
+    """The square of a bound on |det| of every square submatrix of at most
+    k rows of the nonzero integer rows (Hadamard's inequality)."""
+    bound = 1
+    for norm in sorted((sum(x * x for x in row) for row in int_rows), reverse=True)[:k]:
+        bound *= norm
+    return bound
 
 
 def test_build_keeps_lines_that_collide_mod_p():
@@ -181,7 +189,8 @@ def test_build_keeps_lines_that_collide_mod_p():
 
 
 def test_build_matches_reference_wide_coefficients():
-    # entries up to 10^6 put the Hadamard bound on both sides of MODULUS^2
+    # entries up to 10^6 put the Hadamard bound on both sides of MODULUS^2,
+    # the bound below which reduction mod MODULUS keeps every rank
     rng = random.Random(89)
     sides = set()
     for dim in range(3, 6):
@@ -190,9 +199,47 @@ def test_build_matches_reference_wide_coefficients():
             arr = random_arrangement(rng, dim, rng.randint(dim, dim + 4),
                                      coeff_lo=-bound, coeff_hi=bound)
             ints = integer_covectors(arr)
-            sides.add(hadamard_bound_sq(ints, min(dim, len(ints))) < MODULUS * MODULUS)
+            sides.add(_hadamard_bound_sq(ints, min(dim, len(ints))) < MODULUS * MODULUS)
             _assert_matches_reference(arr)
     assert sides == {True, False}
+
+
+def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
+    """Over Q the flats are keyed by integer rows; the only code of the
+    fractions module that the build runs reads numerators and denominators."""
+    arr = weyl_b(4)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        lat = build_lattice(arr)
+    finally:
+        sys.setprofile(None)
+    assert called <= {"numerator", "denominator"}
+    assert all(flat._normal_space is None for flat in lat.flats())
+
+
+def test_read_and_unread_flats_compare_equal():
+    arr = weyl_b(3)
+    read, unread = build_lattice(arr).levels[2], build_lattice(arr).levels[2]
+    for flat in read:
+        flat.normal_space
+    assert read == unread
+    assert [hash(f) for f in read] == [hash(f) for f in unread]
+    assert all(f._normal_space is not None for f in read)
+    assert all(f._normal_space is None for f in unread)
+
+
+@pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
+def test_normal_space_on_demand_matches_flat_from_members(name, arr):
+    for flat in build_lattice(arr).flats():
+        spanned = flat_from_members(arr, flat.members)
+        assert spanned == flat
+        assert flat.normal_space == spanned.normal_space
 
 
 def test_covers_step_one_codim():
@@ -294,6 +341,26 @@ def test_minor_charpolys_random(p):
         for _ in range(6):
             arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
             _assert_minor_charpolys(arr, rng)
+
+
+def test_restriction_chi_caches_one_entry_per_minor():
+    lat = build_lattice(weyl_b(4))
+    rng = random.Random(181)
+    for level, flats in enumerate(lat.levels):
+        for index in range(len(flats)):
+            base = lat.mask(level, index)
+            assert lat.deleted_classes(level, index, base) == 0
+            for k in lat.covers[level][index]:
+                cls = lat.mask(level + 1, k) & ~base
+                assert lat.deleted_classes(level, index, cls | base) == cls
+                assert lat.deleted_classes(level, index, cls & (cls - 1)) == 0
+            for _ in range(3):
+                deleted = rng.getrandbits(16)
+                classes = lat.deleted_classes(level, index, deleted)
+                assert classes & ~deleted == 0
+                assert lat.restriction_chi(level, index, deleted) is \
+                    lat.restriction_chi(level, index, classes)
+    assert all(lat.deleted_classes(*key) == key[2] for key in lat._chis)
 
 
 def test_atom():
