@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactalg import (
-    Field,
-    Matrix,
-    kernel_basis,
-    normalize_covector,
-    reduce_against,
-    _rref_rows,
-)
+from .exactalg import Field, Matrix, int_elimination, normalize_covector, _rref_rows
 
 
 class ArrangementError(ValueError):
@@ -102,12 +95,10 @@ def flat_from_members(arr: Arrangement, members: Iterable[int]) -> Flat:
 
 
 def _flat_from_rref(arr: Arrangement, rows, pivots) -> Flat:
-    zero = arr.field.zero
-    members = tuple(
-        h
-        for h, cov in enumerate(arr.hyperplanes)
-        if all(x == zero for x in reduce_against(arr.field, rows, pivots, cov))
-    )
+    to_int, residual, _ = int_elimination(arr.field)
+    int_rows = [to_int(row) for row in rows]
+    members = tuple(h for h, cov in enumerate(arr.hyperplanes)
+                    if residual(int_rows, pivots, to_int(cov)) is None)
     return Flat(arr, len(rows), members, Matrix(arr.field, rows, arr.dim))
 
 
@@ -134,34 +125,36 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     The trace records which hyperplanes collapse onto each restricted
     hyperplane; its multiplicities are the Ziegler multiplicity data.  The
     coordinate basis of the flat comes from the free columns of its
-    canonical normal space, so restrictions are reproducible bit for bit.
+    canonical normal space, so restrictions are reproducible bit for bit:
+    a covector restricts to its residual modulo the normal space
+    (``int_elimination``), read at the free columns.  Two hyperplanes have
+    the same trace exactly when their residuals are equal, so only the
+    first of each class is normalized.
     """
     _check_flat(arr, flat)
     new_dim = arr.dim - flat.codim
     if new_dim < 1:
         raise ValueError("cannot restrict to a zero-dimensional flat")
     field = arr.field
-    basis = kernel_basis(flat.normal_space)
+    to_int, residual, _ = int_elimination(field)
+    # the int form of an rref row is its fraction-free row
+    rows = [to_int(row) for row in flat.normal_space.rows]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    free = [c for c in range(arr.dim) if c not in pivots]
     member_set = set(flat.members)
-    zero = field.zero
-    new_cov_index: dict[tuple, int] = {}
+    classes: dict[tuple, int] = {}  # residual -> index of its restricted hyperplane
     covs: list[tuple] = []
     trace: list[list[int]] = []
     for h, cov in enumerate(arr.hyperplanes):
         if h in member_set:
             continue
-        projected = []
-        for b in basis:
-            acc = zero
-            for x, y in zip(cov, b):
-                if x != zero and y != zero:
-                    acc = field.add(acc, field.mul(x, y))
-            projected.append(acc)
-        norm = normalize_covector(field, projected)
-        j = new_cov_index.get(norm)
+        r = residual(rows, pivots, to_int(cov))
+        if r is None:
+            raise ValueError(f"hyperplane {h} contains the flat but is not one of its members")
+        j = classes.get(r)
         if j is None:
-            new_cov_index[norm] = len(covs)
-            covs.append(norm)
+            classes[r] = len(covs)
+            covs.append(normalize_covector(field, [r[c] for c in free]))
             trace.append([h])
         else:
             trace[j].append(h)

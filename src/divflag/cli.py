@@ -267,6 +267,19 @@ def _oracle_verify_one(arr: Arrangement, primes) -> list[str]:
     return failures
 
 
+def _random_arrangement(rng: random.Random) -> Arrangement:
+    """A rational arrangement of 1 to 8 distinct hyperplanes in dimension 2
+    to 4, with covector entries in [-2, 2]."""
+    dim = rng.randint(2, 4)
+    n = rng.randint(1, 8)
+    covs = set()
+    while len(covs) < n:
+        cov = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if any(cov):
+            covs.add(normalize_covector(QQ, cov))
+    return make_arrangement(QQ, dim, sorted(covs))
+
+
 def _cmd_oracle_verify(args) -> int:
     primes = args.primes or [5, 7]
     reports = []
@@ -274,16 +287,7 @@ def _cmd_oracle_verify(args) -> int:
         rng = random.Random(args.seed)
         checked = 0
         while checked < args.random:
-            dim = rng.randint(2, 4)
-            n = rng.randint(1, 8)
-            covs = set()
-            while len(covs) < n:
-                cov = tuple(rng.randint(-2, 2) for _ in range(dim))
-                if any(cov):
-                    covs.add(normalize_covector(QQ, cov))
-            arr = make_arrangement(QQ, dim, sorted(covs))
-            failures = _oracle_verify_one(arr, primes)
-            reports.extend(failures)
+            reports.extend(_oracle_verify_one(_random_arrangement(rng), primes))
             checked += 1
         print(f"checked {checked} random arrangements (seed {args.seed})")
     else:

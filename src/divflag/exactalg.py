@@ -10,6 +10,7 @@ everything is immutable and deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -218,24 +219,28 @@ def integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
 
 def int_elimination(field: Field):
     """The plain-int elimination of the field: (the int form of a row of
-    scalars, the insertion of one int row into a reduced row set).  Over Q
-    the rows are fraction-free (``extend_rref_int``), over F_p residues in
-    rref (``extend_rref_mod``); either row set is unique for its row space."""
+    scalars, ``residual``, ``insert``).  Over Q the rows are fraction-free
+    (``residual_int``, ``insert_int``), over F_p residues in rref
+    (``residual_mod``, ``insert_mod``, with lead inverses memoized for the
+    life of the returned functions); either row set is unique for its row
+    space.  ``residual(rows, pivots, v)`` is the canonical residual of v, or
+    ``None`` when v lies in the row space; ``insert(rows, pivots, r)`` adds a
+    residual to the rows."""
     if field.kind == "Q":
-        return integer_row, extend_rref_int
-    return tuple, partial(extend_rref_mod, field.p)
+        return integer_row, residual_int, insert_int
+    return tuple, partial(residual_mod, field.p, {}), partial(insert_mod, field.p)
 
 
 def _rref_rows(field: Field, rows: Iterable[Sequence[Scalar]]):
     """Reduced row echelon form on raw rows; returns (rows, pivots).  The
     rows are inserted one at a time by ``int_elimination``; over Q the
     fraction-free rows are divided by their pivots at the end."""
-    to_int, extend = int_elimination(field)
+    to_int, residual, insert = int_elimination(field)
     reduced, pivots = (), ()
     for row in rows:
-        extended = extend(reduced, pivots, to_int(row))
-        if extended is not None:
-            reduced, pivots = extended
+        r = residual(reduced, pivots, to_int(row))
+        if r is not None:
+            reduced, pivots = insert(reduced, pivots, r)
     if field.kind == "Q":
         reduced = tuple(tuple([Fraction(x, row[c]) for x in row]) for row, c in zip(reduced, pivots))
     return reduced, pivots
@@ -298,13 +303,17 @@ def extend_rref(field: Field, rows, pivots, vector):
     return tuple(tuple(r) for r in new_rows), tuple(new_pivots)
 
 
-def extend_rref_mod(p: int, rows, pivots, vector):
-    """``extend_rref`` over F_p on canonical residues in ``[0, p)``, in plain
-    int arithmetic.
+def residual_mod(p: int, inverses: dict, rows, pivots, vector):
+    """The residual of a vector of residues modulo rref rows over F_p: the
+    vector minus its pivot-column entries times the rows, scaled to lead 1.
+    It vanishes on the pivot columns, so it is the same for every nonzero
+    multiple of the vector plus any combination of the rows.  ``None`` when
+    the vector lies in the row space.  ``inverses`` memoizes the leads'
+    inverses.
 
-    The rows are reduced, so the coefficient of row i in the residual is the
-    vector's own entry at pivot i; the residual therefore takes one pass and
-    one reduction mod p per entry.
+    The rows are reduced, so the coefficient of row i is the vector's own
+    entry at pivot i; the residual therefore takes one pass and one
+    reduction mod p per entry.
     """
     v = vector
     for row, c in zip(rows, pivots):
@@ -312,43 +321,51 @@ def extend_rref_mod(p: int, rows, pivots, vector):
         if f:
             v = [a - f * b for a, b in zip(v, row)]
     v = [a % p for a in v]
-    for lead, x in enumerate(v):
+    for x in v:
         if x:
             break
     else:
         return None
     if x != 1:
-        scale = pow(x, p - 2, p)
+        scale = inverses.get(x)
+        if scale is None:
+            scale = inverses[x] = pow(x, p - 2, p)
         v = [a * scale % p for a in v]
-    v = tuple(v)
+    return tuple(v)
+
+
+def insert_mod(p: int, rows, pivots, r):
+    """The rref rows over F_p extended by a residual ``r`` (lead 1, zero on
+    the pivot columns): r is subtracted from each row in proportion to its
+    entry at r's lead, and placed by its lead."""
+    for lead, x in enumerate(r):
+        if x:
+            break
     new_rows = []
-    new_pivots = []
-    inserted = False
-    for row, c in zip(rows, pivots):
-        if not inserted and lead < c:
-            new_rows.append(v)
-            new_pivots.append(lead)
-            inserted = True
+    for row in rows:
         f = row[lead]
         if f:
-            row = tuple([(a - f * b) % p for a, b in zip(row, v)])
+            row = tuple([(a - f * b) % p for a, b in zip(row, r)])
         new_rows.append(row)
-        new_pivots.append(c)
-    if not inserted:
-        new_rows.append(v)
-        new_pivots.append(lead)
-    return tuple(new_rows), tuple(new_pivots)
+    k = bisect(pivots, lead)
+    new_rows.insert(k, r)
+    return tuple(new_rows), pivots[:k] + (lead,) + pivots[k:]
 
 
-def extend_rref_int(rows, pivots, vector):
-    """``extend_rref`` over Q on integer rows, by fraction-free elimination;
-    the vector is any integer vector.
+def extend_rref_mod(p: int, rows, pivots, vector):
+    """``extend_rref`` over F_p on canonical residues in ``[0, p)``, in plain
+    int arithmetic."""
+    r = residual_mod(p, {}, rows, pivots, vector)
+    return None if r is None else insert_mod(p, rows, pivots, r)
 
-    Each row is primitive with a positive pivot and is zero in the other
-    rows' pivot columns: a positive multiple of the rref row with the same
-    pivot, hence unique, so the rows key the row space exactly.  Each
-    elimination cross-multiplies by the two entries over their gcd, and each
-    new row is divided by its content.
+
+def residual_int(rows, pivots, vector):
+    """The canonical residual of an integer vector modulo fraction-free
+    reduced rows: the unique primitive integer vector with a positive lead
+    that vanishes on the pivot columns and lies in the span of the vector
+    and the rows.  ``None`` when the vector lies in the row space.  Each
+    elimination cross-multiplies by the two entries over their gcd, and the
+    result is divided by its signed content.
     """
     v = vector
     for row, c in zip(rows, pivots):
@@ -360,34 +377,49 @@ def extend_rref_int(rows, pivots, vector):
     content = gcd(*v)
     if not content:
         return None
-    for lead, x in enumerate(v):
+    for x in v:
         if x:
             break
     if x < 0:
         content = -content
-    v = tuple([x // content for x in v])
-    a = v[lead]
+    if content == 1:
+        return tuple(v)
+    return tuple([x // content for x in v])
+
+
+def insert_int(rows, pivots, r):
+    """Fraction-free reduced rows extended by a residual ``r`` (primitive,
+    positive lead, zero on the pivot columns): each row with an entry at r's
+    lead is cross-multiplied against r and divided by its content, and r is
+    placed by its lead.
+
+    Each row is primitive with a positive pivot and is zero in the other
+    rows' pivot columns: a positive multiple of the rref row with the same
+    pivot, hence unique, so the rows key the row space exactly.
+    """
+    for lead, a in enumerate(r):
+        if a:
+            break
     new_rows = []
-    new_pivots = []
-    inserted = False
-    for row, c in zip(rows, pivots):
-        if not inserted and lead < c:
-            new_rows.append(v)
-            new_pivots.append(lead)
-            inserted = True
+    for row in rows:
         f = row[lead]
         if f:
             g = gcd(a, f)
             a_g, f_g = a // g, f // g
-            row = [a_g * x - f_g * y for x, y in zip(row, v)]
+            row = [a_g * x - f_g * y for x, y in zip(row, r)]
             content = gcd(*row)
             row = tuple([x // content for x in row])
         new_rows.append(row)
-        new_pivots.append(c)
-    if not inserted:
-        new_rows.append(v)
-        new_pivots.append(lead)
-    return tuple(new_rows), tuple(new_pivots)
+    k = bisect(pivots, lead)
+    new_rows.insert(k, r)
+    return tuple(new_rows), pivots[:k] + (lead,) + pivots[k:]
+
+
+def extend_rref_int(rows, pivots, vector):
+    """``extend_rref`` over Q on fraction-free reduced integer rows; the
+    vector is any integer vector."""
+    r = residual_int(rows, pivots, vector)
+    return None if r is None else insert_int(rows, pivots, r)
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:

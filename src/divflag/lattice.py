@@ -2,16 +2,19 @@
 and two independent oracles for cross-checking them.
 
 The lattice is built rank by rank: each level is the deduplicated set of
-one-hyperplane extensions Y ∧ H_h (h > max Y) of the previous one, keyed by
-a canonical row set of the flat's normal space: its rref over F_p, and over
-Q its fraction-free reduced integer rows, which are exact for any
-coefficients.  Only those extensions touch coordinates, and a flat's
-normal space is computed only when it is read.  A flat's member set is the
-union of members(Y) ∪ {h} over the pairs (Y, h) that reach it (matroid
-closure), and its Möbius value follows from Weisner's theorem with the
-atom of its largest member, so neither needs arithmetic.  Member sets are
-kept as bitmasks so interval containment (reverse inclusion) is a single
-subset test.
+one-hyperplane extensions Y ∧ H_h (h > max Y) of the previous one.  The
+h > max Y fall into cover classes of Y, one per flat Y ∧ H_h, told apart
+by the residual of H_h's covector modulo Y's normal space; each class is
+extended once, and the extension is keyed by a canonical row set of the
+flat's normal space: its rref over F_p, and over Q its fraction-free
+reduced integer rows, which are exact for any coefficients.  Only those
+residuals and extensions touch coordinates, and a flat's normal space is
+computed only when it is read.  A flat's member set is the union of
+members(Y) ∪ class over the classes that reach it (matroid closure), and
+its Möbius value follows from Weisner's theorem with the atom of its
+largest member, so neither needs arithmetic.  Member sets are kept as
+bitmasks so interval containment (reverse inclusion) is a single subset
+test.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import lcm
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, make_arrangement, ArrangementError
-from .exactalg import QQ, int_elimination, integer_row, _rref_rows
+from .exactalg import QQ, int_elimination, integer_row
 
 
 class EmptyArrangementError(ValueError):
@@ -152,19 +155,23 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     """Levels, members, and Möbius values of the intersection lattice.
 
     Each flat X of codimension k is found as Y ∧ H_h from a flat Y of
-    codimension k-1 and a hyperplane h > max(Y).  With m = max(X), every
-    member h' ≠ m lies in a basis B of members(X) that contains m, and
-    Y = cl(B - {m}) is such a Y containing h'; so OR-ing members(Y) ∪ {h}
-    over the pairs that reach X gives the closed member set of X without
-    testing any covector against X.
+    codimension k-1 and a hyperplane h > max(Y).  The h > max(Y) fall into
+    classes, one per cover X of Y that they reach: Y ∧ H_h = Y ∧ H_h'
+    exactly when h and h' have the same ``residual`` modulo Y's rows, so
+    each class costs one ``insert`` and one lookup.
 
-    The pairs with h = m are exactly the covers Y ⋖ X that avoid H_m, so
-    Weisner's theorem for the atom H_m gives μ(X) = -Σ μ(Y) over them
-    (Stanley, *Enumerative Combinatorics* I, §3.9; Orlik–Terao,
-    *Arrangements of Hyperplanes*, ch. 2).  The largest h among X's pairs
-    is m, so one running (h, Σμ) per flat suffices.
+    With m = max(X), every member h' ≠ m lies in a basis B of members(X)
+    that contains m, and Y = cl(B - {m}) reaches X and contains h'; so
+    OR-ing members(Y) with the class over the Ys that reach X gives the
+    closed member set of X without testing any covector against X.
 
-    Pairs are keyed by a canonical row set of their normal space, built in
+    A Y reaches X exactly when it is a cover Y ⋖ X that avoids H_m: then
+    max(Y) < m, and m lies in its class.  So Weisner's theorem for the atom
+    H_m gives μ(X) = -Σ μ(Y) over the classes that reach X (Stanley,
+    *Enumerative Combinatorics* I, §3.9; Orlik–Terao, *Arrangements of
+    Hyperplanes*, ch. 2).
+
+    Covers are keyed by a canonical row set of their normal space, built in
     plain int arithmetic (``int_elimination``): the rref over F_p, and over
     Q the fraction-free reduced rows of the integer covectors, which are
     exact for any coefficients.  The flats' normal spaces are left to be
@@ -174,33 +181,32 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     n = len(arr)
     dim = arr.dim
     limit = dim if max_codim is None else min(max_codim, dim)
-    to_int, extend = int_elimination(field)
+    to_int, residual, insert = int_elimination(field)
     covectors = [to_int(cov) for cov in arr.hyperplanes]
 
     # per level: (rows, pivots, member mask, Möbius value)
     levels_raw = [[((), (), 0, 1)]]
     while len(levels_raw) - 1 < limit:
-        # rows -> [pivots, member mask, largest h seen, Σμ over pairs with that h]
+        # rows -> [pivots, member mask, Σμ over the classes that reach it]
         found: dict[tuple, list] = {}
         for rows, pivots, mask, mu in levels_raw[-1]:
-            # members all precede the start index, so no membership check here
+            # members all precede the start index, so every residual is nonzero;
+            # residual -> the bits of its class, the h that reach one cover
+            classes: dict[tuple, int] = {}
             for h in range(mask.bit_length(), n):
-                extended = extend(rows, pivots, covectors[h])
-                if extended is None:
-                    continue
-                entry = found.get(extended[0])
+                r = residual(rows, pivots, covectors[h])
+                classes[r] = classes.get(r, 0) | 1 << h
+            for r, bits in classes.items():
+                extended, new_pivots = insert(rows, pivots, r)
+                entry = found.get(extended)
                 if entry is None:
-                    found[extended[0]] = [extended[1], mask | 1 << h, h, mu]
-                    continue
-                entry[1] |= mask | 1 << h
-                if h > entry[2]:
-                    entry[2] = h
-                    entry[3] = mu
-                elif h == entry[2]:
-                    entry[3] += mu
+                    found[extended] = [new_pivots, mask | bits, mu]
+                else:
+                    entry[1] |= mask | bits
+                    entry[2] += mu
         if not found:
             break
-        level = [(rows, pivots, mask, -mu_sum) for rows, (pivots, mask, _, mu_sum) in found.items()]
+        level = [(rows, pivots, mask, -mu_sum) for rows, (pivots, mask, mu_sum) in found.items()]
         level.sort(key=_row_order(field, level))
         levels_raw.append(level)
 
@@ -290,16 +296,27 @@ WHITNEY_CAP = 16
 
 def whitney_oracle(arr: Arrangement) -> intpoly.IntPoly:
     """Characteristic polynomial by brute force over all subsets:
-    sum over B of (-1)^|B| t^(dim - rank(B)).  Independent of the Möbius path."""
+    sum over B of (-1)^|B| t^(dim - rank(B)).  Independent of the Möbius path.
+    The subsets are visited depth first, each reduced rows of its parent
+    extended by one hyperplane, so each costs one ``residual``."""
     n = len(arr)
     if n > WHITNEY_CAP:
         raise ValueError(f"whitney oracle capped at {WHITNEY_CAP} hyperplanes, got {n}")
+    to_int, residual, insert = int_elimination(arr.field)
+    covectors = [to_int(cov) for cov in arr.hyperplanes]
     coeffs = [0] * (arr.dim + 1)
-    field = arr.field
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            _, pivots = _rref_rows(field, [arr.hyperplanes[h] for h in subset])
-            coeffs[arr.dim - len(pivots)] += (-1) ** size
+
+    def visit(start, rows, pivots, sign):
+        # the subsets that extend the current one by hyperplanes from start on
+        coeffs[arr.dim - len(pivots)] += sign
+        for h in range(start, n):
+            r = residual(rows, pivots, covectors[h])
+            if r is None:
+                visit(h + 1, rows, pivots, -sign)
+            else:
+                visit(h + 1, *insert(rows, pivots, r), -sign)
+
+    visit(0, (), (), 1)
     return intpoly.poly(coeffs)
 
 

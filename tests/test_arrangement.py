@@ -19,8 +19,16 @@ from divflag.arrangement import (
     top_flat,
     triple,
 )
-from divflag.catalog import boolean, edelman_reiner_restriction, pentagon_cone, xyzw_example
-from divflag.exactalg import QQ, PrimeField, _rref_rows
+from divflag.arrangement import Flat
+from divflag.catalog import (
+    CATALOG_NAMES,
+    boolean,
+    build_entry,
+    edelman_reiner_restriction,
+    pentagon_cone,
+    xyzw_example,
+)
+from divflag.exactalg import QQ, PrimeField, kernel_basis, normalize_covector, _rref_rows
 from divflag.lattice import build_lattice, char_data
 
 from conftest import random_arrangement
@@ -116,6 +124,59 @@ def test_restriction_members_reproduce_localization():
         for flat in lat.flats():
             loc = localization(arr, flat)
             assert loc.hyperplanes == tuple(arr.hyperplanes[h] for h in flat.members)
+
+
+def _reference_restriction(arr, flat):
+    """Each non-member covector projected onto the kernel basis of the
+    flat's normal space and normalized; equal projections share a trace."""
+    field = arr.field
+    basis = kernel_basis(flat.normal_space)
+    index, covs, trace = {}, [], []
+    for h, cov in enumerate(arr.hyperplanes):
+        if h in flat.members:
+            continue
+        projected = [sum((field.mul(x, y) for x, y in zip(cov, b)), field.zero) for b in basis]
+        norm = normalize_covector(field, projected)
+        if norm not in index:
+            index[norm] = len(covs)
+            covs.append(norm)
+            trace.append([])
+        trace[index[norm]].append(h)
+    return tuple(covs), tuple(tuple(t) for t in trace)
+
+
+def _assert_restrictions_match_reference(arr):
+    for flat in build_lattice(arr).flats():
+        if flat.codim < arr.dim:
+            restricted, trace = restriction(arr, flat)
+            assert (restricted.hyperplanes, trace) == _reference_restriction(arr, flat)
+            assert restricted.dim == arr.dim - flat.codim
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES
+                                  if len(build_entry(n).arrangement) <= 16])
+def test_restriction_matches_kernel_projection_catalog(name):
+    _assert_restrictions_match_reference(build_entry(name).arrangement)
+
+
+@pytest.mark.parametrize("p", [None, 7, 11])
+def test_restriction_matches_kernel_projection_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(211 if p is None else 211 + p)
+    for dim in range(2, 6):
+        available = 9 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(8):
+            bound = rng.choice([2, 2, 10**6])
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field,
+                                     coeff_lo=-bound, coeff_hi=bound)
+            _assert_restrictions_match_reference(arr)
+
+
+def test_restriction_rejects_a_flat_missing_a_member():
+    arr = boolean(3)
+    flat = Flat(arr, 1, (), hyperplane_flat(arr, 0).normal_space)
+    with pytest.raises(ValueError):
+        restriction(arr, flat)
 
 
 def test_restriction_zero_dimensional_rejected():

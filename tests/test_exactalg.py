@@ -13,10 +13,15 @@ from divflag.exactalg import (
     extend_rref,
     extend_rref_int,
     extend_rref_mod,
+    insert_int,
+    insert_mod,
+    int_elimination,
     is_prime,
     kernel_basis,
     matrix,
     normalize_covector,
+    residual_int,
+    residual_mod,
     rref,
     _rref_rows,
 )
@@ -287,6 +292,66 @@ def test_extend_rref_int_keeps_a_non_unit_pivot():
     assert extend_rref_int((), (), (-4, 2, 6)) == (((2, -1, -3),), (0,))
     assert extend_rref_int(((2, -1, -3),), (0,), (0, 3, 0)) == (((2, 0, -3), (0, 1, 0)), (0, 1))
     assert extend_rref_int(((2, 0, -3), (0, 1, 0)), (0, 1), (4, 5, -6)) is None
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 2**31 - 1])
+def test_residual_is_invariant_under_row_additions(p):
+    """residual(k·v + Σ c_i·row_i) = residual(v) for k ≠ 0: the residual is
+    canonical for the span of v modulo the rows, and vanishes on the pivot
+    columns; over Q it is primitive with a positive lead, over F_p monic."""
+    field = QQ if p is None else PrimeField(p)
+    to_int, residual, insert = int_elimination(field)
+    rng = random.Random(43 if p is None else 43 + p % 1000)
+    nonzero = 0
+    for _ in range(120):
+        cols = rng.randint(1, 6)
+        rows, pivots, added = (), (), []
+        for _ in range(rng.randint(0, cols)):
+            vec = _battery_vector(rng, added, cols)
+            added.append(vec)
+            r = residual(rows, pivots, to_int([field.coerce(x) for x in vec]))
+            if r is not None:
+                rows, pivots = insert(rows, pivots, r)
+        v = to_int([field.coerce(x) for x in _battery_vector(rng, added, cols)])
+        k = rng.choice([-3, -1, 1, 2, 10**9 + 7])  # a unit mod every p here
+        w = [k * x for x in v]
+        for row in rows:
+            c = rng.randint(-10**6, 10**6)
+            w = [x + c * y for x, y in zip(w, row)]
+        if p is not None:
+            w = [x % p for x in w]
+        r = residual(rows, pivots, v)
+        assert residual(rows, pivots, tuple(w)) == r
+        if r is None:
+            continue
+        nonzero += bool(rows)
+        assert all(r[c] == 0 for c in pivots)
+        lead = next(x for x in r if x)
+        if p is None:
+            assert lead > 0 and gcd(*r) == 1
+        else:
+            assert lead == 1 and all(0 <= x < p for x in r)
+    assert nonzero > 30
+
+
+def test_residual_and_insert_by_hand():
+    assert residual_int((), (), (-4, 2, 6)) == (2, -1, -3)
+    assert residual_int(((2, -1, -3),), (0,), (1, 1, 0)) == (0, 1, 1)
+    assert residual_int(((2, -1, -3),), (0,), (-6, 3, 9)) is None
+    assert insert_int(((2, -1, -3),), (0,), (0, 1, 1)) == (((1, 0, -1), (0, 1, 1)), (0, 1))
+    assert insert_int(((0, 1, 1),), (1,), (1, 0, 0)) == (((1, 0, 0), (0, 1, 1)), (0, 1))
+    inverses = {}
+    assert residual_mod(7, inverses, ((1, 0, 2),), (0,), (3, 3, 1)) == (0, 1, 3)
+    assert residual_mod(7, inverses, (), (), (3, 1, 0)) == (1, 5, 0)
+    assert inverses == {3: 5}
+    assert insert_mod(7, ((1, 2, 2),), (0,), (0, 1, 5)) == (((1, 0, 6), (0, 1, 5)), (0, 1))
+
+
+def test_int_elimination_memoizes_inverses_per_call():
+    field = PrimeField(2**31 - 1)
+    first, second = int_elimination(field)[1], int_elimination(field)[1]
+    assert first((), (), (2, 1)) == second((), (), (2, 1)) == (1, 2**30)
+    assert first.args[1] == {2: 2**30} and first.args[1] is not second.args[1]
 
 
 def _trial_division(n):

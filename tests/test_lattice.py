@@ -1,10 +1,11 @@
 import fractions
+import itertools
 import random
 import sys
 
 import pytest
 
-from divflag import intpoly
+from divflag import exactalg, intpoly
 from divflag.arrangement import (
     Flat,
     deletion,
@@ -21,7 +22,7 @@ from divflag.catalog import (
     edelman_reiner_restriction,
     weyl_b,
 )
-from divflag.exactalg import QQ, PrimeField, extend_rref, reduce_against
+from divflag.exactalg import QQ, PrimeField, extend_rref, int_elimination, reduce_against
 from divflag.lattice import (
     BadPrimeError,
     EmptyArrangementError,
@@ -202,6 +203,74 @@ def test_build_matches_reference_wide_coefficients():
             sides.add(_hadamard_bound_sq(ints, min(dim, len(ints))) < MODULUS * MODULUS)
             _assert_matches_reference(arr)
     assert sides == {True, False}
+
+
+def _assert_residuals_group_covers(arr):
+    """For each flat Y, grouping the h > max(Y) by their residual modulo Y
+    gives the same classes as grouping them by the rref of Y ∧ H_h, and the
+    classes are the parts above max(Y) of the cover classes of Y."""
+    field, n = arr.field, len(arr)
+    to_int, residual, _ = int_elimination(field)
+    covectors = [to_int(cov) for cov in arr.hyperplanes]
+    lat = build_lattice(arr)
+    for level, flats in enumerate(lat.levels):
+        for index, flat in enumerate(flats):
+            rows = flat.normal_space.rows
+            pivots = tuple(next(j for j, x in enumerate(row) if x != field.zero) for row in rows)
+            int_rows = [to_int(row) for row in rows]
+            by_residual, by_extension = {}, {}
+            start = max(flat.members, default=-1) + 1
+            for h in range(start, n):
+                r = residual(int_rows, pivots, covectors[h])
+                by_residual[r] = by_residual.get(r, 0) | 1 << h
+                key = extend_rref(field, rows, pivots, arr.hyperplanes[h])[0]
+                by_extension[key] = by_extension.get(key, 0) | 1 << h
+            classes = sorted(by_residual.values())
+            assert classes == sorted(by_extension.values())
+            base = lat.mask(level, index)
+            covers = ((lat.mask(level + 1, k) & ~base) >> start << start
+                      for k in lat.covers[level][index])
+            assert classes == sorted(c for c in covers if c)
+
+
+@pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
+def test_residual_classes_are_cover_classes_catalog(name, arr):
+    _assert_residuals_group_covers(arr)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 2**31 - 1])
+def test_residual_classes_are_cover_classes_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(223 if p is None else 223 + p % 1000)
+    for dim in range(2, 6):
+        available = 9 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(8):
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
+            _assert_residuals_group_covers(arr)
+
+
+def test_build_makes_one_insert_per_cover_class(monkeypatch):
+    """On Weyl B4 the build makes one residual per pair (Y, h > max Y) and
+    one insert per cover X of Y whose class meets (max Y, n)."""
+    arr = weyl_b(4)
+    n = len(arr)
+    calls = {"residual_int": 0, "insert_int": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(exactalg, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(exactalg, name, counted)
+    lat = build_lattice(arr)
+    monkeypatch.undo()
+    pairs = classes = 0
+    for level, flats in enumerate(lat.levels[:-1]):
+        for index, flat in enumerate(flats):
+            start = max(flat.members, default=-1) + 1
+            pairs += n - start
+            classes += sum(1 for k in lat.covers[level][index]
+                           if lat.mask(level + 1, k) >> start)
+    assert calls == {"residual_int": pairs, "insert_int": classes}
+    assert (pairs, classes) == (419, 249)
 
 
 def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
@@ -427,6 +496,30 @@ def test_whitney_oracle_small():
     xyzw = make_arrangement(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                                     [0, 0, 0, 1], [1, 1, 1, 1]])
     assert whitney_oracle(xyzw) == intpoly.mul((-1, 1), (-4, 6, -4, 1))
+
+
+def _reference_whitney(arr):
+    """Σ over subsets B of (-1)^|B| t^(dim - rank B), each rank by the
+    field-generic ``extend_rref``."""
+    coeffs = [0] * (arr.dim + 1)
+    for size in range(len(arr) + 1):
+        for subset in itertools.combinations(arr.hyperplanes, size):
+            rows, pivots = (), ()
+            for cov in subset:
+                rows, pivots = extend_rref(arr.field, rows, pivots, cov) or (rows, pivots)
+            coeffs[arr.dim - len(pivots)] += (-1) ** size
+    return intpoly.poly(coeffs)
+
+
+@pytest.mark.parametrize("p", [None, 3, 7])
+def test_whitney_oracle_matches_subset_ranks(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(229 if p is None else 229 + p)
+    for _ in range(12):
+        dim = rng.randint(2, 4)
+        available = 8 if p is None else (p ** dim - 1) // (p - 1)
+        arr = random_arrangement(rng, dim, rng.randint(0, min(available, 8)), field=field)
+        assert whitney_oracle(arr) == _reference_whitney(arr)
 
 
 def test_whitney_oracle_cap():
