@@ -314,63 +314,83 @@ def _cmd_verify_cert(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_CERTIFIED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _certificate_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--certificate", metavar="OUT", help="write the certificate JSON")
+
+
+def _budget_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget", type=int, default=200_000, help="search node budget")
+
+
+def _pivot_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pivot", type=int, default=0, help="hyperplane index")
+
+
+def _catalog_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("name", choices=CATALOG_NAMES)
+    parser.add_argument("--l", "--rank", dest="rank", type=int)
+    parser.add_argument("--k", type=int)
+    parser.add_argument("--r", type=int)
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--roots", choices=("A", "B", "C", "D"))
+    parser.add_argument("--emit", metavar="FILE", help="write the arrangement JSON")
+
+
+def _oracle_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--random", type=int, metavar="N", help="verify N random arrangements")
+    parser.add_argument("--seed", type=int, default=0, help="seed for --random")
+    parser.add_argument("--primes", type=int, nargs="*", help="point-count primes")
+
+
+def _verify_cert_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("arrangement", help="arrangement JSON file")
+    parser.add_argument("certificate", help="certificate JSON file")
+    parser.add_argument("--json", dest="json_out", metavar="OUT")
+
+
+# command -> (handler, option builders), in the order `divflag --help` lists them
+COMMANDS = {
+    "charpoly": (_cmd_charpoly, (_add_input_options,)),
+    "lattice": (_cmd_lattice, (_add_input_options,)),
+    "df-check": (_cmd_df_check, (_add_input_options, _certificate_option)),
+    "if-check": (_cmd_if_check, (_add_input_options, _certificate_option, _budget_option)),
+    "hdf-check": (_cmd_hdf_check, (_add_input_options,)),
+    "free3": (_cmd_free3, (_add_input_options,)),
+    "ziegler": (_cmd_ziegler, (_add_input_options, _pivot_option)),
+    "remainder": (_cmd_remainder, (_add_input_options, _pivot_option)),
+    "same-eq": (_cmd_same_eq, (_add_input_options, _pivot_option)),
+    "catalog": (_cmd_catalog, (_catalog_options,)),
+    "oracle-verify": (_cmd_oracle_verify, (_add_input_options, _oracle_options)),
+    "verify-cert": (_cmd_verify_cert, (_verify_cert_options,)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for ``command`` alone.
+
+    A one-command parser names all commands in its usage line, so its help
+    and error messages read exactly as the full parser's do.
+    """
     parser = argparse.ArgumentParser(
         prog="divflag",
         description="Exact lattice computations and freeness certification "
         "for central hyperplane arrangements.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn, extra in (
-        ("charpoly", _cmd_charpoly, ()),
-        ("lattice", _cmd_lattice, ()),
-        ("df-check", _cmd_df_check, ("certificate",)),
-        ("if-check", _cmd_if_check, ("certificate", "budget")),
-        ("hdf-check", _cmd_hdf_check, ()),
-        ("free3", _cmd_free3, ()),
-        ("ziegler", _cmd_ziegler, ("pivot",)),
-        ("remainder", _cmd_remainder, ("pivot",)),
-        ("same-eq", _cmd_same_eq, ("pivot",)),
-    ):
-        p = sub.add_parser(name)
-        _add_input_options(p)
-        if "certificate" in extra:
-            p.add_argument("--certificate", metavar="OUT", help="write the certificate JSON")
-        if "budget" in extra:
-            p.add_argument("--budget", type=int, default=200_000, help="search node budget")
-        if "pivot" in extra:
-            p.add_argument("--pivot", type=int, default=0, help="hyperplane index")
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("catalog")
-    p.add_argument("name", choices=CATALOG_NAMES)
-    p.add_argument("--l", "--rank", dest="rank", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--roots", choices=("A", "B", "C", "D"))
-    p.add_argument("--emit", metavar="FILE", help="write the arrangement JSON")
-    p.set_defaults(fn=_cmd_catalog)
-
-    p = sub.add_parser("oracle-verify")
-    _add_input_options(p)
-    p.add_argument("--random", type=int, metavar="N", help="verify N random arrangements")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p.add_argument("--primes", type=int, nargs="*", help="point-count primes")
-    p.set_defaults(fn=_cmd_oracle_verify)
-
-    p = sub.add_parser("verify-cert")
-    p.add_argument("arrangement", help="arrangement JSON file")
-    p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("--json", dest="json_out", metavar="OUT")
-    p.set_defaults(fn=_cmd_verify_cert)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (fn, options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name)
+            for add_options in options:
+                add_options(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # only the command that runs gets a subparser; anything else (no
+    # arguments, -h, an unknown name) gets the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -211,7 +211,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
         levels_raw.append(level)
 
     flats = tuple(
-        tuple(Flat(arr, codim, tuple(h for h in range(n) if mask >> h & 1)) for _, _, mask, _ in level)
+        tuple(Flat(arr, codim, _set_bits(mask)) for _, _, mask, _ in level)
         for codim, level in enumerate(levels_raw)
     )
 
@@ -224,6 +224,16 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
         complete=complete,
         _masks=tuple(tuple(entry[2] for entry in level) for level in levels_raw),
     )
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def rank2_flats(arr: Arrangement) -> tuple[Flat, ...]:

@@ -14,9 +14,12 @@ def random_arrangement(rng: random.Random, dim: int, n: int, field=QQ,
     """n distinct random hyperplanes with small integer covectors.
 
     The coefficient range widens automatically when the requested count
-    exceeds the directions available in the initial box.  Over F_q at most
+    exceeds the directions available in the initial box.  A line (dim 1)
+    has one hyperplane over any field, and over F_q at most
     (q^dim - 1)/(q - 1) hyperplanes exist; asking for more is a ValueError.
     """
+    if dim == 1 and n > 1:
+        raise ValueError(f"a line has one hyperplane, not {n}")
     if field != QQ and n > (field.p ** dim - 1) // (field.p - 1):
         raise ValueError(f"F_{field.p}^{dim} has fewer than {n} hyperplanes")
     covs = set()

@@ -282,3 +282,11 @@ def test_random_arrangement_rejects_more_lines_than_exist():
     assert len(random_arrangement(random.Random(0), 2, 4, field=f3)) == 4
     with pytest.raises(ValueError):
         random_arrangement(random.Random(0), 2, 5, field=f3)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_random_arrangement_rejects_two_hyperplanes_on_a_line(field):
+    # every nonzero covector in dimension 1 is the same hyperplane
+    assert len(random_arrangement(random.Random(0), 1, 1, field=field)) == 1
+    with pytest.raises(ValueError, match="line"):
+        random_arrangement(random.Random(0), 1, 2, field=field)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -7,7 +10,8 @@ import pytest
 
 import divflag
 
-from divflag.cli import run
+from divflag import cli
+from divflag.cli import build_parser, run
 from divflag.jsonio import (
     arrangement_from_json,
     arrangement_to_json,
@@ -297,6 +301,56 @@ def test_usage_errors():
     assert run(["charpoly"]) == 1  # no input
     assert run(["charpoly", "/nonexistent/file.json"]) == 1
     assert run(["not-a-command"]) == 1
+    assert run([]) == 1
+    assert run(["-h"]) == 0
+    assert run(["--help"]) == 0
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+# the order of `divflag --help`, which the one-command usage line repeats
+COMMAND_ORDER = ["charpoly", "lattice", "df-check", "if-check", "hdf-check", "free3", "ziegler",
+                 "remainder", "same-eq", "catalog", "oracle-verify", "verify-cert"]
+
+
+def test_parser_registers_the_table():
+    assert _subcommands(build_parser()) == list(cli.COMMANDS) == COMMAND_ORDER
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    assert set(re.findall(r"^divflag ([a-z0-9-]+)", readme.read_text(), re.M)) == set(COMMAND_ORDER)
+    for name in COMMAND_ORDER:
+        assert _subcommands(build_parser(name)) == [name]
+
+
+def test_run_builds_only_the_command_it_runs(monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+    assert run(["catalog", "boolean"]) == 0
+    assert run(["--help"]) == 0
+    assert run(["catalo"]) == 1
+    assert built == ["catalog", None, None]
+
+
+# --help, a missing positional, a bad positional or choice, a bad int,
+# extra arguments, an unknown option
+PARSE_CASES = [("--help",), (), ("nope",), ("--catalog", "nope"), ("--l", "x"),
+               ("a", "b", "c"), ("boolean", "--bogus")]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("command", COMMAND_ORDER)
+def test_one_command_parser_reads_as_the_full_parser(command, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", columns)
+    full = cli.build_parser
+    for case in PARSE_CASES:
+        argv = [command, *case]
+        one = run(argv), capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda command=None: full())
+            assert (run(argv), capsys.readouterr()) == one, argv
 
 
 def test_malformed_json_input(tmp_path):
