@@ -231,16 +231,24 @@ def int_elimination(field: Field):
     return tuple, partial(residual_mod, field.p, {}), partial(insert_mod, field.p)
 
 
-def _rref_rows(field: Field, rows: Iterable[Sequence[Scalar]]):
-    """Reduced row echelon form on raw rows; returns (rows, pivots).  The
-    rows are inserted one at a time by ``int_elimination``; over Q the
-    fraction-free rows are divided by their pivots at the end."""
-    to_int, residual, insert = int_elimination(field)
+def int_rref(field: Field, rows: Iterable[Sequence[int]]):
+    """The reduced rows of rows already in the int form of
+    ``int_elimination``, inserted one at a time; returns (rows, pivots)."""
+    _, residual, insert = int_elimination(field)
     reduced, pivots = (), ()
     for row in rows:
-        r = residual(reduced, pivots, to_int(row))
+        r = residual(reduced, pivots, row)
         if r is not None:
             reduced, pivots = insert(reduced, pivots, r)
+    return reduced, pivots
+
+
+def _rref_rows(field: Field, rows: Iterable[Sequence[Scalar]]):
+    """Reduced row echelon form on raw rows; returns (rows, pivots).  The
+    rows are reduced by ``int_rref``; over Q the fraction-free rows are
+    divided by their pivots at the end."""
+    to_int = int_elimination(field)[0]
+    reduced, pivots = int_rref(field, [to_int(row) for row in rows])
     if field.kind == "Q":
         reduced = tuple(tuple([Fraction(x, row[c]) for x in row]) for row, c in zip(reduced, pivots))
     return reduced, pivots
@@ -250,57 +258,6 @@ def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
     rows, pivots = _rref_rows(m.field, m.rows)
     return RrefResult(Matrix(m.field, rows, m.ncols), len(rows), pivots)
-
-
-def reduce_against(field: Field, rows, pivots, vector):
-    """Residual of ``vector`` after elimination by an rref row set."""
-    zero = field.zero
-    sub, mul = field.sub, field.mul
-    v = list(vector)
-    for row, c in zip(rows, pivots):
-        factor = v[c]
-        if factor != zero:
-            v = [sub(v[j], mul(factor, row[j])) for j in range(len(v))]
-    return v
-
-
-def extend_rref(field: Field, rows, pivots, vector):
-    """Insert one row into an rref row set, keeping it in rref form.
-
-    Returns ``None`` when the vector already lies in the row space,
-    otherwise the extended ``(rows, pivots)``.  Equal to a full rref of the
-    stacked matrix, by uniqueness of the reduced echelon form.
-    """
-    zero = field.zero
-    sub, mul, inv = field.sub, field.mul, field.inv
-    v = reduce_against(field, rows, pivots, vector)
-    lead = None
-    for j, x in enumerate(v):
-        if x != zero:
-            lead = j
-            break
-    if lead is None:
-        return None
-    scale = inv(v[lead])
-    if scale != field.one:
-        v = [mul(scale, x) for x in v]
-    new_rows = []
-    new_pivots = []
-    inserted = False
-    for row, c in zip(rows, pivots):
-        if not inserted and lead < c:
-            new_rows.append(v)
-            new_pivots.append(lead)
-            inserted = True
-        factor = row[lead]
-        if factor != zero:
-            row = [sub(row[j], mul(factor, v[j])) for j in range(len(row))]
-        new_rows.append(list(row))
-        new_pivots.append(c)
-    if not inserted:
-        new_rows.append(v)
-        new_pivots.append(lead)
-    return tuple(tuple(r) for r in new_rows), tuple(new_pivots)
 
 
 def residual_mod(p: int, inverses: dict, rows, pivots, vector):
@@ -353,8 +310,9 @@ def insert_mod(p: int, rows, pivots, r):
 
 
 def extend_rref_mod(p: int, rows, pivots, vector):
-    """``extend_rref`` over F_p on canonical residues in ``[0, p)``, in plain
-    int arithmetic."""
+    """One row of canonical residues in ``[0, p)`` inserted into rref rows
+    over F_p: ``None`` when it lies in the row space, otherwise the extended
+    ``(rows, pivots)``."""
     r = residual_mod(p, {}, rows, pivots, vector)
     return None if r is None else insert_mod(p, rows, pivots, r)
 
@@ -416,8 +374,9 @@ def insert_int(rows, pivots, r):
 
 
 def extend_rref_int(rows, pivots, vector):
-    """``extend_rref`` over Q on fraction-free reduced integer rows; the
-    vector is any integer vector."""
+    """One integer row inserted into fraction-free reduced integer rows:
+    ``None`` when it lies in the row space, otherwise the extended
+    ``(rows, pivots)``."""
     r = residual_int(rows, pivots, vector)
     return None if r is None else insert_int(rows, pivots, r)
 

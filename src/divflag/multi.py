@@ -7,12 +7,17 @@ Rank-2 exponents are the workhorse.  When the total multiplicity is small
 multiarrangement is free (Ziegler), so the dimension of one kernel of the
 exact linear system for derivations, at degree ceil(|m|/2) - 1, gives both
 exponents; a generator is then solved at each exponent degree and the pair
-is certified by the Saito determinant condition.
+is certified by the Saito determinant condition.  The whole solve runs in
+plain ints over Q and over F_p alike: the containment conditions are rows
+of Hasse coefficients at integer points of the lines, reduced by the
+field's ``int_elimination``, with an integer kernel basis read off the free
+columns and an integer Saito check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, lcm
 
 from . import intpoly
 from .arrangement import (
@@ -23,7 +28,7 @@ from .arrangement import (
     rank_of,
     restrict_to_hyperplane,
 )
-from .exactalg import Field, extend_rref, kernel_basis, matrix, normalize_covector, _rref_rows
+from .exactalg import Field, int_elimination, int_rref
 from .lattice import build_lattice, char_data, rank2_flats
 
 
@@ -82,114 +87,108 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiArrangement:
     return MultiArrangement(restricted, mult)
 
 
-def _two_coordinates(arr: Arrangement) -> list[tuple]:
-    """Essentialize a rank-2 arrangement to two canonical coordinates."""
-    rows, pivots = _rref_rows(arr.field, arr.hyperplanes)
+def _two_coordinates(arr: Arrangement) -> list[tuple[int, int]]:
+    """The lines of a rank-2 arrangement as integer pairs (a, b): each
+    covector in the int form of ``int_elimination``, read at the two pivots
+    of the rref."""
+    to_int = int_elimination(arr.field)[0]
+    covs = [to_int(cov) for cov in arr.hyperplanes]
+    _, pivots = int_rref(arr.field, covs)
     if len(pivots) != 2:
         raise ValueError(f"expected a rank-2 arrangement, got rank {len(pivots)}")
-    return [normalize_covector(arr.field, (cov[pivots[0]], cov[pivots[1]])) for cov in arr.hyperplanes]
+    p0, p1 = pivots
+    return [(cov[p0], cov[p1]) for cov in covs]
 
 
-def _monomial_rem_table(field: Field, root: object, m: int, d: int):
-    """t^i mod (t + root)^m for i = 0..d, as length-m coefficient rows."""
-    g = [field.one]
-    for _ in range(m):
-        # multiply by (t + root)
-        nxt = [field.zero] * (len(g) + 1)
-        for i, c in enumerate(g):
-            nxt[i + 1] = field.add(nxt[i + 1], c)
-            nxt[i] = field.add(nxt[i], field.mul(root, c))
-        g = nxt
-    table = []
-    cur = [field.zero] * m
-    cur[0] = field.one
-    table.append(tuple(cur))
-    for _ in range(d):
-        shifted = [field.zero] + cur[: m - 1]
-        overflow = cur[m - 1]
-        if overflow != field.zero:
-            # t^m = -(g - t^m) modulo g, g monic of degree m
-            shifted = [field.sub(shifted[j], field.mul(overflow, g[j])) for j in range(m)]
-        cur = shifted
-        table.append(tuple(cur))
-    return table
+def _modulus(field: Field) -> int:
+    """p over F_p, 0 over Q."""
+    return field.p if field.kind == "Fp" else 0
 
 
-def _derivation_kernel(field: Field, pairs, mults, d):
-    """Kernel of the degree-d containment conditions for derivations (P, Q).
+def _reduce(p: int, v):
+    """The entries of v mod p over F_p; v itself over Q (p = 0)."""
+    return [x % p for x in v] if p else v
 
-    A derivation sends the defining form a*x + b*y to F = a*P + b*Q; the
-    condition is divisibility of F by (a*x + b*y)^m, expressed as linear
-    constraints on the 2(d+1) coefficients of P and Q.
+
+def _containment_rows(pairs, mults, d: int, p: int) -> list[list[int]]:
+    """Integer rows whose vanishing on (P, Q), the coefficients of
+    x^(d-i) y^i, says that (a*x + b*y)^m divides F = a*P + b*Q on every line.
+
+    For a = 0 the first m coefficients F_0..F_(m-1) vanish.  Otherwise the
+    first m Hasse coefficients of s -> F(s - b, a) vanish, the j-th being
+    sum_i F_i C(d-i, j) (-b)^(d-i-j) a^i: (s - b, a) crosses the line at
+    s = 0, so this tests divisibility in every characteristic, m >= p
+    included.  A multiplicity above d leaves only F = 0, which the first
+    d + 1 rows already say.
     """
     ncols = 2 * (d + 1)
     rows = []
     for (a, b), m in zip(pairs, mults):
-        if a == field.zero:
-            # divisibility by y^m: the first m coefficients of F vanish
-            # (all of them when m exceeds the degree, i.e. F = 0)
-            for i in range(min(m, d + 1)):
-                row = [field.zero] * ncols
-                row[i] = a
+        m = min(m, d + 1)
+        if a == 0:
+            for i in range(m):
+                row = [0] * ncols
                 row[d + 1 + i] = b
                 rows.append(row)
-        else:
-            # dehomogenize at y = 1: f(t) = sum_i F_i t^(d-i); reduce mod (t + b/a)^m
-            root = field.mul(field.inv(a), b)
-            if m > d + 1:
-                for i in range(d + 1):
-                    row = [field.zero] * ncols
-                    row[i] = a
-                    row[d + 1 + i] = b
-                    rows.append(row)
-                continue
-            table = _monomial_rem_table(field, root, m, d)
-            for j in range(m):
-                row = [field.zero] * ncols
-                for i in range(d + 1):
-                    w = table[d - i][j]
-                    if w != field.zero:
-                        row[i] = field.mul(a, w)
-                        row[d + 1 + i] = field.mul(b, w)
-                rows.append(row)
-    if not rows:
-        rows = [[field.zero] * ncols]
-    return kernel_basis(matrix(field, rows, ncols))
+            continue
+        a_pow = [a**k for k in range(d + 1)]
+        nb_pow = [(-b) ** k for k in range(d + 1)]
+        for j in range(m):
+            row = [0] * ncols
+            for i in range(d - j + 1):
+                w = comb(d - i, j) * nb_pow[d - i - j] * a_pow[i]
+                row[i] = a * w
+                row[d + 1 + i] = b * w
+            rows.append(_reduce(p, row))
+    return rows
 
 
-def _form_mul(field: Field, f, g):
-    out = [field.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a != field.zero:
-            for j, b in enumerate(g):
-                if b != field.zero:
-                    out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return out
+def _derivation_kernel(field: Field, pairs, mults, d: int) -> list[tuple[int, ...]]:
+    """Integer basis of the kernel of the degree-d containment conditions
+    for derivations (P, Q), one vector per free column of the reduced rows:
+    v[fc] is the lcm of the pivots of the rows that meet fc, and each such
+    row's pivot column gets -row[fc] * (lcm / row[pc]).  Over F_p the
+    pivots are 1 and the vector is reduced mod p."""
+    p = _modulus(field)
+    ncols = 2 * (d + 1)
+    rows, pivots = int_rref(field, _containment_rows(pairs, mults, d, p))
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        meets = [(row[fc], row[pc], pc) for row, pc in zip(rows, pivots) if row[fc]]
+        scale = lcm(*[lead for _, lead, _ in meets])
+        v = [0] * ncols
+        v[fc] = scale
+        for x, lead, pc in meets:
+            v[pc] = -x * (scale // lead)
+        basis.append(tuple(_reduce(p, v)))
+    return basis
 
 
 def _saito_check(field: Field, theta1, d1, theta2, d2, pairs, mults) -> bool:
     """Determinant of the two derivations equals a nonzero constant times
-    the product of the defining forms with multiplicity."""
+    the product of the defining forms with multiplicity.  The forms are
+    integer polynomials in y (x = 1), mod p over F_p; with lead the first
+    nonzero coefficient of the product, det[lead] != 0 and
+    det * target[lead] - target * det[lead] = 0."""
+    p = _modulus(field)
+
+    def canonical(f):
+        return intpoly.poly(_reduce(p, f))
+
     p1, q1 = theta1[: d1 + 1], theta1[d1 + 1:]
     p2, q2 = theta2[: d2 + 1], theta2[d2 + 1:]
-    det = [field.sub(a, b) for a, b in zip(_form_mul(field, p1, q2), _form_mul(field, q1, p2))]
-    target = [field.one]
+    det = canonical(intpoly.sub(intpoly.mul(p1, q2), intpoly.mul(q1, p2)))
+    target = intpoly.ONE
     for (a, b), m in zip(pairs, mults):
-        form = [a, b]
-        for _ in range(m):
-            target = _form_mul(field, target, form)
-    if len(det) < len(target):
-        det = det + [field.zero] * (len(target) - len(det))
-    lead = None
-    for i, c in enumerate(target):
-        if c != field.zero:
-            lead = i
-            break
-    if lead is None or det[lead] == field.zero:
+        power = [comb(m, k) * a ** (m - k) * b**k for k in range(m + 1)]
+        target = canonical(intpoly.mul(target, power))
+    lead = next(i for i, c in enumerate(target) if c)
+    if lead >= len(det) or not det[lead]:
         return False
-    ratio = field.mul(det[lead], field.inv(target[lead]))
-    scaled = [field.mul(ratio, c) for c in target]
-    return scaled == det
+    return not canonical(intpoly.sub(intpoly.scale(det, target[lead]), intpoly.scale(target, det[lead])))
 
 
 def exp2(ma: MultiArrangement) -> Exponents2:
@@ -199,10 +198,15 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     (|m| - |A| + 1, |A| - 1).  Otherwise one kernel count settles them: the
     multiarrangement is free with d1 <= d2 and d1 + d2 = |m|, so at
     d = ceil(|m|/2) - 1 < d2 the kernel has dimension k = max(0, d - d1 + 1);
-    k > 0 gives d1 = d - k + 1, and k = 0 gives d1 = d2 = |m|/2.  The first
-    generator is the first kernel vector at d1, the second the first kernel
-    vector at d2 independent of the polynomial multiples of the first, and
-    the pair is certified by the Saito determinant condition.
+    k > 0 gives d1 = d - k + 1, and k = 0 gives d1 = d2 = |m|/2.
+
+    The kernels are solved in plain ints, on the field's
+    ``int_elimination``: the lines are integer pairs, each containment
+    condition is a row of Hasse coefficients, and an integer basis is read
+    off the free columns.  The first generator is the first kernel vector
+    at d1, the second the first kernel vector at d2 outside the span of the
+    polynomial multiples of the first, and the pair is certified by the
+    Saito determinant condition on integer forms, mod p over F_p.
     """
     arr = ma.base
     field = arr.field
@@ -224,6 +228,7 @@ def exp2(ma: MultiArrangement) -> Exponents2:
         )
     else:
         d1 = total // 2
+    # d1 <= d < d2 when the kernel at d is not empty, d1 = d2 when it is
     d2 = total - d1
     if d1 != d:
         kernel = _derivation_kernel(field, pairs, mults, d1)
@@ -231,39 +236,30 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     if d2 != d1:
         kernel = _derivation_kernel(field, pairs, mults, d2)
     theta2 = _independent_second(field, theta1, d1, kernel, d2)
-    return _finish_exp2(field, theta1, d1, theta2, d2, pairs, mults, total)
+    if not _saito_check(field, theta1, d1, theta2, d2, pairs, mults):
+        raise AssertionError("Saito determinant condition failed for the computed basis")
+    return Exponents2(d1, d2)
 
 
-def _shift_theta(field: Field, theta, d_from: int, d_to: int, offset: int):
+def _shift_theta(theta, d_from: int, d_to: int, offset: int) -> tuple[int, ...]:
     """Multiply the derivation (P, Q) by x^(d_to-d_from-offset) * y^offset."""
     p, q = theta[: d_from + 1], theta[d_from + 1:]
-    width = d_to + 1
-    new_p = [field.zero] * width
-    new_q = [field.zero] * width
-    for i in range(d_from + 1):
-        new_p[i + offset] = p[i]
-        new_q[i + offset] = q[i]
-    return tuple(new_p) + tuple(new_q)
+    pad = [0] * (d_to - d_from - offset)
+    return tuple([0] * offset + list(p) + pad + [0] * offset + list(q) + pad)
 
 
 def _independent_second(field: Field, theta1, d1, kernel, d):
-    multiples = [_shift_theta(field, theta1, d1, d, off) for off in range(d - d1 + 1)]
-    span_rows, span_pivots = _rref_rows(field, multiples)
+    """The first kernel vector of degree d outside the span of the
+    multiples x^(d-d1-k) y^k * theta1."""
+    shifts = [_shift_theta(theta1, d1, d, off) for off in range(d - d1 + 1)]
+    rows, pivots = int_rref(field, shifts)
+    residual = int_elimination(field)[1]
     for vec in kernel:
-        if extend_rref(field, span_rows, span_pivots, vec) is not None:
+        if residual(rows, pivots, vec) is not None:
             return vec
-    return None
-
-
-def _finish_exp2(field, theta1, d1, theta2, d2, pairs, mults, total) -> Exponents2:
-    if d1 + d2 != total:
-        raise AssertionError(
-            f"exponent degrees {d1}+{d2} do not sum to the total multiplicity {total}"
-        )
-    if not _saito_check(field, theta1, d1, theta2, d2, pairs, mults):
-        raise AssertionError("Saito determinant condition failed for the computed basis")
-    lo, hi = sorted((d1, d2))
-    return Exponents2(lo, hi)
+    raise AssertionError(
+        f"no second generator of degree {d} independent of the multiples of the first"
+    )
 
 
 def euler_mult_rank2(ma: MultiArrangement, h: int) -> int:

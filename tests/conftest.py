@@ -1,11 +1,13 @@
-"""Shared helpers: deterministic random arrangements and multiplicities."""
+"""Shared helpers: deterministic random arrangements and multiplicities, and
+the field-generic rref row insertion that the integer eliminations are
+checked against."""
 
 from __future__ import annotations
 
 import random
 
 from divflag.arrangement import Arrangement, make_arrangement
-from divflag.exactalg import QQ, normalize_covector
+from divflag.exactalg import QQ, Field, normalize_covector
 from divflag.multi import MultiArrangement, Multiplicity
 
 
@@ -46,3 +48,54 @@ def random_rank2_multi(rng: random.Random, field=QQ, max_lines: int = 5,
     arr = random_arrangement(rng, 2, n, field=field, coeff_lo=-3, coeff_hi=3)
     mult = Multiplicity(tuple(rng.randint(1, max_mult) for _ in range(len(arr))))
     return MultiArrangement(arr, mult)
+
+
+def reduce_against(field: Field, rows, pivots, vector):
+    """Residual of ``vector`` after elimination by an rref row set."""
+    zero = field.zero
+    sub, mul = field.sub, field.mul
+    v = list(vector)
+    for row, c in zip(rows, pivots):
+        factor = v[c]
+        if factor != zero:
+            v = [sub(v[j], mul(factor, row[j])) for j in range(len(v))]
+    return v
+
+
+def extend_rref(field: Field, rows, pivots, vector):
+    """Insert one row into an rref row set, keeping it in rref form.
+
+    Returns ``None`` when the vector already lies in the row space,
+    otherwise the extended ``(rows, pivots)``.  Equal to a full rref of the
+    stacked matrix, by uniqueness of the reduced echelon form.
+    """
+    zero = field.zero
+    sub, mul, inv = field.sub, field.mul, field.inv
+    v = reduce_against(field, rows, pivots, vector)
+    lead = None
+    for j, x in enumerate(v):
+        if x != zero:
+            lead = j
+            break
+    if lead is None:
+        return None
+    scale = inv(v[lead])
+    if scale != field.one:
+        v = [mul(scale, x) for x in v]
+    new_rows = []
+    new_pivots = []
+    inserted = False
+    for row, c in zip(rows, pivots):
+        if not inserted and lead < c:
+            new_rows.append(v)
+            new_pivots.append(lead)
+            inserted = True
+        factor = row[lead]
+        if factor != zero:
+            row = [sub(row[j], mul(factor, v[j])) for j in range(len(row))]
+        new_rows.append(list(row))
+        new_pivots.append(c)
+    if not inserted:
+        new_rows.append(v)
+        new_pivots.append(lead)
+    return tuple(tuple(r) for r in new_rows), tuple(new_pivots)

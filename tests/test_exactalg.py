@@ -10,7 +10,6 @@ from divflag.exactalg import (
     PrimeField,
     QQ,
     PRIME_LIMIT,
-    extend_rref,
     extend_rref_int,
     extend_rref_mod,
     insert_int,
@@ -25,6 +24,8 @@ from divflag.exactalg import (
     rref,
     _rref_rows,
 )
+
+from conftest import extend_rref
 
 
 def test_rref_identity():

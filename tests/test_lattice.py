@@ -22,7 +22,7 @@ from divflag.catalog import (
     edelman_reiner_restriction,
     weyl_b,
 )
-from divflag.exactalg import QQ, PrimeField, extend_rref, int_elimination, reduce_against
+from divflag.exactalg import QQ, PrimeField, int_elimination
 from divflag.lattice import (
     BadPrimeError,
     EmptyArrangementError,
@@ -34,7 +34,7 @@ from divflag.lattice import (
     whitney_oracle,
 )
 
-from conftest import random_arrangement
+from conftest import extend_rref, random_arrangement, reduce_against
 
 
 def test_boolean3_levels_and_mobius():
@@ -70,7 +70,6 @@ def test_members_are_maximal():
         lat = build_lattice(arr)
         for flat in lat.flats():
             rows = flat.normal_space.rows
-            from divflag.exactalg import reduce_against
             zero = arr.field.zero
             pivots = tuple(next(j for j, x in enumerate(row) if x != zero) for row in rows)
             for h, cov in enumerate(arr.hyperplanes):

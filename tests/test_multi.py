@@ -1,4 +1,6 @@
+import fractions
 import random
+import sys
 
 import pytest
 
@@ -13,7 +15,7 @@ from divflag.catalog import (
     xyzw_restriction,
 )
 from divflag import multi
-from divflag.exactalg import PrimeField, QQ
+from divflag.exactalg import PrimeField, QQ, kernel_basis, matrix, normalize_covector, _rref_rows
 from divflag.lattice import char_data
 from divflag.multi import (
     MultiArrangement,
@@ -29,7 +31,7 @@ from divflag.multi import (
     ziegler_restriction,
 )
 
-from conftest import random_arrangement, random_rank2_multi
+from conftest import extend_rref, random_arrangement, random_rank2_multi
 
 
 def _lines(*covs):
@@ -106,38 +108,126 @@ def test_exp2_embedded_rank2():
     assert tuple(exp2(constant_multiplicity(arr))) == (1, 2)
 
 
+def _reference_two_coordinates(arr):
+    """The lines of a rank-2 arrangement as normalized field pairs, read at
+    the pivots of the field-generic rref."""
+    rows, pivots = _rref_rows(arr.field, arr.hyperplanes)
+    if len(pivots) != 2:
+        raise ValueError(f"expected a rank-2 arrangement, got rank {len(pivots)}")
+    return [normalize_covector(arr.field, (cov[pivots[0]], cov[pivots[1]])) for cov in arr.hyperplanes]
+
+
+def _reference_rem_table(field, root, m, d):
+    """t^i mod (t + root)^m for i = 0..d, as length-m coefficient rows."""
+    g = [field.one]
+    for _ in range(m):
+        nxt = [field.zero] * (len(g) + 1)
+        for i, c in enumerate(g):
+            nxt[i + 1] = field.add(nxt[i + 1], c)
+            nxt[i] = field.add(nxt[i], field.mul(root, c))
+        g = nxt
+    table = []
+    cur = [field.zero] * m
+    cur[0] = field.one
+    table.append(tuple(cur))
+    for _ in range(d):
+        shifted = [field.zero] + cur[: m - 1]
+        overflow = cur[m - 1]
+        if overflow != field.zero:
+            shifted = [field.sub(shifted[j], field.mul(overflow, g[j])) for j in range(m)]
+        cur = shifted
+        table.append(tuple(cur))
+    return table
+
+
+def _reference_kernel(field, pairs, mults, d):
+    """The kernel of the degree-d containment conditions, with each line's
+    rows taken from remainders mod (t + b/a)^m and solved by the
+    field-generic ``kernel_basis``."""
+    ncols = 2 * (d + 1)
+    rows = []
+    for (a, b), m in zip(pairs, mults):
+        if a == field.zero or m > d + 1:
+            for i in range(min(m, d + 1)):
+                row = [field.zero] * ncols
+                row[i] = a
+                row[d + 1 + i] = b
+                rows.append(row)
+            continue
+        table = _reference_rem_table(field, field.mul(field.inv(a), b), m, d)
+        for j in range(m):
+            row = [field.zero] * ncols
+            for i in range(d + 1):
+                w = table[d - i][j]
+                row[i] = field.mul(a, w)
+                row[d + 1 + i] = field.mul(b, w)
+            rows.append(row)
+    return kernel_basis(matrix(field, rows, ncols))
+
+
+def _reference_form_mul(field, f, g):
+    out = [field.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return out
+
+
+def _reference_saito(field, theta1, d1, theta2, d2, pairs, mults):
+    p1, q1 = theta1[: d1 + 1], theta1[d1 + 1:]
+    p2, q2 = theta2[: d2 + 1], theta2[d2 + 1:]
+    det = [field.sub(a, b) for a, b in zip(_reference_form_mul(field, p1, q2),
+                                           _reference_form_mul(field, q1, p2))]
+    target = [field.one]
+    for (a, b), m in zip(pairs, mults):
+        for _ in range(m):
+            target = _reference_form_mul(field, target, [a, b])
+    lead = next(i for i, c in enumerate(target) if c != field.zero)
+    if det[lead] == field.zero:
+        return False
+    ratio = field.mul(det[lead], field.inv(target[lead]))
+    return [field.mul(ratio, c) for c in target] == det
+
+
+def _reference_second(field, theta1, d1, kernel, d):
+    """The first kernel vector outside the span of the shifts of theta1, or
+    None."""
+    rows, pivots = (), ()
+    for off in range(d - d1 + 1):
+        zeros = [field.zero] * (d - d1 - off)
+        p, q = list(theta1[: d1 + 1]), list(theta1[d1 + 1:])
+        shift = [field.zero] * off + p + zeros + [field.zero] * off + q + zeros
+        rows, pivots = extend_rref(field, rows, pivots, shift)
+    for vec in kernel:
+        if extend_rref(field, rows, pivots, vec) is not None:
+            return vec
+    return None
+
+
 def _reference_exp2(ma):
-    """The degree-by-degree scan that exp2's one-kernel rule replaced: d1 is
-    the first degree with a derivation, d2 the first degree whose kernel
-    outgrows the polynomial multiples of the first generator."""
+    """The degree-by-degree scan that exp2's one-kernel rule replaced, on
+    field scalars: d1 is the first degree with a derivation, d2 the first
+    degree whose kernel outgrows the polynomial multiples of the first
+    generator, and the pair must pass the Saito determinant condition."""
     field = ma.base.field
     n = len(ma.base)
     mults = ma.mult.values
     total = ma.mult.total
-    pairs = multi._two_coordinates(ma.base)
+    pairs = _reference_two_coordinates(ma.base)
     if total <= 2 * n - 1:
         lo, hi = sorted((total - n + 1, n - 1))
         return multi.Exponents2(lo, hi)
-    d1 = None
-    theta1 = None
-    d = 0
-    while d <= total:
-        kernel = multi._derivation_kernel(field, pairs, mults, d)
-        if d1 is None:
-            if kernel:
-                d1 = d
-                theta1 = kernel[0]
-                if len(kernel) >= 2:
-                    theta2 = multi._independent_second(field, theta1, d1, kernel, d)
-                    if theta2 is not None:
-                        return multi._finish_exp2(field, theta1, d1, theta2, d, pairs, mults, total)
-        else:
-            expected_multiples = d - d1 + 1
-            if len(kernel) > expected_multiples:
-                theta2 = multi._independent_second(field, theta1, d1, kernel, d)
-                if theta2 is not None:
-                    return multi._finish_exp2(field, theta1, d1, theta2, d, pairs, mults, total)
-        d += 1
+    d1 = theta1 = None
+    for d in range(total + 1):
+        kernel = _reference_kernel(field, pairs, mults, d)
+        if d1 is None and kernel:
+            d1, theta1 = d, kernel[0]
+        if d1 is not None and len(kernel) > d - d1 + 1:
+            theta2 = _reference_second(field, theta1, d1, kernel, d)
+            if theta2 is not None:
+                assert d1 + d == total
+                assert _reference_saito(field, theta1, d1, theta2, d, pairs, mults)
+                return multi.Exponents2(d1, d)
     raise AssertionError("rank-2 exponent search exceeded the total multiplicity bound")
 
 
@@ -150,8 +240,9 @@ def _solver_regime(ma, exponents):
     return "balanced" if d1 > d else ("at" if d1 == d else "below")
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7), PrimeField(101)],
-                         ids=["Q", "F5", "F7", "F101"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7), PrimeField(101),
+                                   PrimeField(2**31 - 1)],
+                         ids=["Q", "F5", "F7", "F101", "F2147483647"])
 def test_exp2_matches_reference_scan(field):
     # primes with at least 6 points on the projective line: the generator
     # needs as many distinct lines as it draws
@@ -182,10 +273,68 @@ def test_exp2_matches_reference_named(lines, mults):
 def test_exp2_inconsistent_kernel_raises(monkeypatch):
     # an empty kernel below an odd total multiplicity contradicts freeness;
     # it must raise even under python -O
-    monkeypatch.setattr(multi, "_derivation_kernel", lambda *args: [])
+    monkeypatch.setattr(multi, "_derivation_kernel", lambda field, pairs, mults, d: [])
     ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((5, 1, 1)))
     with pytest.raises(AssertionError, match="odd total multiplicity"):
         exp2(ma)
+
+
+def test_exp2_missing_second_generator_raises(monkeypatch):
+    # a kernel that holds only the first generator leaves no second one;
+    # that must raise by name even under python -O
+    solve = multi._derivation_kernel
+    monkeypatch.setattr(multi, "_derivation_kernel",
+                        lambda field, pairs, mults, d: solve(field, pairs, mults, d)[:1])
+    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((2, 2, 2)))
+    with pytest.raises(AssertionError, match="no second generator"):
+        exp2(ma)
+
+
+@pytest.mark.parametrize("p,lines", [(2, 3), (3, 4)], ids=["F2", "F3"])
+def test_exp2_matches_reference_small_characteristic(p, lines):
+    # multiplicities up to 8 reach past p, where the Hasse coefficients of
+    # the containment rows differ from ordinary derivatives
+    field = PrimeField(p)
+    rng = random.Random(173 + p)
+    for _ in range(40):
+        ma = random_rank2_multi(rng, field=field, max_lines=lines, max_mult=8)
+        assert exp2(ma) == _reference_exp2(ma)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_saito_check_accepts_the_product_up_to_a_unit(field):
+    # lines x and y with multiplicity 1; derivations of degree 1 as the
+    # coefficients of x, y in P and then in Q
+    pairs, mults = [(1, 0), (0, 1)], (1, 1)
+    x_dx, y_dy = (1, 0, 0, 0), (0, 0, 0, 1)
+
+    def check(theta2):
+        return multi._saito_check(field, x_dx, 1, theta2, 1, pairs, mults)
+
+    assert check(y_dy)  # det = xy
+    assert check((0, 0, 0, 2))  # det = 2xy, a unit multiple
+    assert not check(x_dx)  # det = 0
+    assert not check((0, 0, 1, 1))  # det = x(x + y)
+    assert check((0, 0, 0, 3)) == (field == QQ)  # det = 3xy, zero over F_3
+
+
+def test_exp2_runs_no_fraction_arithmetic():
+    """Over Q the only code of the fractions module that exp2 runs reads the
+    numerators and denominators of the covectors."""
+    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)), Multiplicity((8,) * 5))
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        exponents = exp2(ma)
+    finally:
+        sys.setprofile(None)
+    assert tuple(exponents) == (20, 20)
+    assert called <= {"numerator", "denominator"}
 
 
 def test_euler_mult_examples():
@@ -422,17 +571,67 @@ def test_exp2_second_exponent_bound_dense():
 
 def test_exp2_kernel_dimension_profile():
     # the solution space at degree d has dimension sum_i max(0, d - d_i + 1),
-    # an independent confirmation of the exponent pair
+    # an independent confirmation of the exponent pair; the integer kernel
+    # and the field-generic oracle both have it
     from divflag.multi import _derivation_kernel, _two_coordinates
     rng = random.Random(157)
     for _ in range(15):
         ma = random_rank2_multi(rng, max_lines=4, max_mult=3)
         d1, d2 = exp2(ma)
+        field = ma.base.field
         pairs = _two_coordinates(ma.base)
+        reference_pairs = _reference_two_coordinates(ma.base)
         for d in range(ma.mult.total + 1):
-            kernel = _derivation_kernel(ma.base.field, pairs, ma.mult.values, d)
             expected = max(0, d - d1 + 1) + max(0, d - d2 + 1)
-            assert len(kernel) == expected
+            assert len(_reference_kernel(field, reference_pairs, ma.mult.values, d)) == expected
+            assert len(_derivation_kernel(field, pairs, ma.mult.values, d)) == expected
+
+
+def _line_power_divides(field, a, b, m, form):
+    """Whether (a*x + b*y)^m divides the binary form sum_i form[i] x^(d-i) y^i,
+    by m synthetic divisions over the field."""
+    zero = field.zero
+    for _ in range(m):
+        if all(c == zero for c in form):
+            return True
+        if a != zero:
+            # form = (a*x + b*y) * q: form[k] = a*q[k] + b*q[k-1]
+            inv, q = field.inv(a), []
+            for c in form[:-1]:
+                q.append(field.mul(field.sub(c, field.mul(b, q[-1] if q else zero)), inv))
+            if form[-1] != field.mul(b, q[-1] if q else zero):
+                return False
+        else:
+            # form = b*y * q: form[0] = 0 and form[k] = b*q[k-1]
+            if form[0] != zero:
+                return False
+            inv = field.inv(b)
+            q = [field.mul(c, inv) for c in form[1:]]
+        form = q
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7)],
+                         ids=["Q", "F2", "F3", "F7"])
+def test_exp2_kernel_vectors_satisfy_containment(field):
+    # every integer kernel vector (P, Q) makes a*P + b*Q divisible by
+    # (a*x + b*y)^m over the field, checked by polynomial division; in
+    # characteristic 2 and 3 multiplicities reach past p, where Hasse and
+    # ordinary derivatives differ
+    lines = 3 if field == PrimeField(2) else 4
+    rng = random.Random(167 if field == QQ else 167 + field.p)
+    for _ in range(12):
+        ma = random_rank2_multi(rng, field=field, max_lines=lines, max_mult=6)
+        pairs = multi._two_coordinates(ma.base)
+        for d in range(ma.mult.total + 1):
+            for vec in multi._derivation_kernel(field, pairs, ma.mult.values, d):
+                vec = [field.coerce(x) for x in vec]
+                assert any(x != field.zero for x in vec)
+                for (a, b), m in zip(pairs, ma.mult.values):
+                    a, b = field.coerce(a), field.coerce(b)
+                    form = [field.add(field.mul(a, x), field.mul(b, y))
+                            for x, y in zip(vec[: d + 1], vec[d + 1:])]
+                    assert _line_power_divides(field, a, b, m, form)
 
 
 def test_exp2_pentagon_directions():
