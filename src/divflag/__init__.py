@@ -31,7 +31,7 @@ from .catalog import (
     xyzw_example,
     xyzw_restriction,
 )
-from .exactalg import Matrix, PrimeField, QQ, kernel_basis, normalize_covector, rref
+from .exactalg import PrimeField, QQ, normalize_covector
 from .freeness import (
     DivisionalFlag,
     IFCertificate,

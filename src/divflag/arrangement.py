@@ -1,17 +1,18 @@
 """Central hyperplane arrangements and their basic constructions.
 
 An arrangement is an ambient dimension plus a duplicate-free list of
-normalized covectors over one field.  Flats are stored as the maximal set
-of hyperplane indices containing them, which makes flat identity a tuple
-comparison; their canonical rref normal spaces are computed on demand.
+normalized covectors over one field.  A flat is its closed member set, the
+maximal set of hyperplane indices containing it, which makes flat identity
+a tuple comparison; whatever needs its coordinates reduces the members'
+covectors with ``int_rref``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactalg import Field, Matrix, int_elimination, normalize_covector, _rref_rows
+from .exactalg import Field, int_elimination, int_rref, normalize_covector
 
 
 class ArrangementError(ValueError):
@@ -53,34 +54,29 @@ def make_arrangement(field: Field, dim: int, covectors: Iterable[Sequence]) -> A
 
 @dataclass(frozen=True)
 class Flat:
-    """Element of the intersection lattice: the full set of hyperplane
-    indices containing it, and its canonical normal space, the rref of
-    their covectors, computed on first read unless given and then cached
-    (the cache takes no part in equality or hashing)."""
+    """Element of the intersection lattice: its codimension and the full
+    set of hyperplane indices containing it."""
 
     parent: Arrangement
     codim: int
     members: tuple[int, ...]
-    _normal_space: Matrix | None = dc_field(default=None, repr=False, compare=False)
-
-    @property
-    def normal_space(self) -> Matrix:
-        if self._normal_space is None:
-            arr = self.parent
-            rows, _ = _rref_rows(arr.field, [arr.hyperplanes[h] for h in self.members])
-            object.__setattr__(self, "_normal_space", Matrix(arr.field, rows, arr.dim))
-        return self._normal_space
 
 
 def top_flat(arr: Arrangement) -> Flat:
-    return Flat(arr, 0, (), Matrix(arr.field, (), arr.dim))
+    return Flat(arr, 0, ())
 
 
 def hyperplane_flat(arr: Arrangement, h: int) -> Flat:
     if not 0 <= h < len(arr):
         raise IndexError(f"hyperplane index {h} out of range")
-    rows = (arr.hyperplanes[h],)
-    return Flat(arr, 1, (h,), Matrix(arr.field, rows, arr.dim))
+    return Flat(arr, 1, (h,))
+
+
+def _reduced_rows(arr: Arrangement, members: Iterable[int]):
+    """``int_rref`` of the members' covectors in the int form of
+    ``int_elimination``: (rows, pivots)."""
+    to_int = int_elimination(arr.field)[0]
+    return int_rref(arr.field, [to_int(arr.hyperplanes[h]) for h in members])
 
 
 def flat_from_members(arr: Arrangement, members: Iterable[int]) -> Flat:
@@ -90,16 +86,11 @@ def flat_from_members(arr: Arrangement, members: Iterable[int]) -> Flat:
     for h in idx:
         if not 0 <= h < len(arr):
             raise IndexError(f"hyperplane index {h} out of range")
-    rows, pivots = _rref_rows(arr.field, [arr.hyperplanes[h] for h in idx])
-    return _flat_from_rref(arr, rows, pivots)
-
-
-def _flat_from_rref(arr: Arrangement, rows, pivots) -> Flat:
+    rows, pivots = _reduced_rows(arr, idx)
     to_int, residual, _ = int_elimination(arr.field)
-    int_rows = [to_int(row) for row in rows]
     members = tuple(h for h, cov in enumerate(arr.hyperplanes)
-                    if residual(int_rows, pivots, to_int(cov)) is None)
-    return Flat(arr, len(rows), members, Matrix(arr.field, rows, arr.dim))
+                    if residual(rows, pivots, to_int(cov)) is None)
+    return Flat(arr, len(rows), members)
 
 
 def _check_flat(arr: Arrangement, flat: Flat) -> None:
@@ -124,22 +115,22 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
 
     The trace records which hyperplanes collapse onto each restricted
     hyperplane; its multiplicities are the Ziegler multiplicity data.  The
-    coordinate basis of the flat comes from the free columns of its
-    canonical normal space, so restrictions are reproducible bit for bit:
-    a covector restricts to its residual modulo the normal space
-    (``int_elimination``), read at the free columns.  Two hyperplanes have
-    the same trace exactly when their residuals are equal, so only the
-    first of each class is normalized.
+    coordinate basis of the flat comes from the free columns of the
+    members' reduced rows (``int_rref``), so restrictions are reproducible
+    bit for bit: a covector restricts to its residual modulo those rows,
+    read at the free columns.  Two hyperplanes have the same trace exactly
+    when their residuals are equal, so only the first of each class is
+    normalized.
     """
     _check_flat(arr, flat)
     new_dim = arr.dim - flat.codim
     if new_dim < 1:
         raise ValueError("cannot restrict to a zero-dimensional flat")
+    rows, pivots = _reduced_rows(arr, flat.members)
+    if len(pivots) != flat.codim:
+        raise ValueError(f"a flat of codimension {flat.codim} has members of rank {len(pivots)}")
     field = arr.field
     to_int, residual, _ = int_elimination(field)
-    # the int form of an rref row is its fraction-free row
-    rows = [to_int(row) for row in flat.normal_space.rows]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     free = [c for c in range(arr.dim) if c not in pivots]
     member_set = set(flat.members)
     classes: dict[tuple, int] = {}  # residual -> index of its restricted hyperplane
@@ -204,18 +195,18 @@ def cone(field: Field, dim: int, affine: Iterable[tuple[Sequence, object]]) -> A
 
 
 def rank_of(arr: Arrangement) -> int:
-    _, pivots = _rref_rows(arr.field, arr.hyperplanes)
+    _, pivots = _reduced_rows(arr, range(len(arr)))
     return len(pivots)
 
 
 def essentialize(arr: Arrangement) -> Arrangement:
     """Same lattice in rank-many coordinates.
 
-    The normals span an r-dimensional space with a canonical rref basis;
+    The normals span an r-dimensional space with a canonical reduced basis;
     each covector is rewritten in that basis by reading its pivot-column
     entries, which is injective on the span so no hyperplanes collide.
     """
-    _, pivots = _rref_rows(arr.field, arr.hyperplanes)
+    _, pivots = _reduced_rows(arr, range(len(arr)))
     covs = [tuple(cov[p] for p in pivots) for cov in arr.hyperplanes]
     return make_arrangement(arr.field, len(pivots), covs)
 

@@ -2,20 +2,19 @@
 
 Scalars are plain values: ``fractions.Fraction`` over Q (always in lowest
 terms with positive denominator), canonical residues in ``[0, p)`` over F_p.
-Field objects supply the arithmetic so the matrix routines stay field
-generic, except that reduced row echelon forms are computed in plain int
-arithmetic, on residues over F_p and by fraction-free elimination over Q;
-everything is immutable and deterministic.
+Field objects supply the scalar arithmetic.  The one elimination is in
+plain int arithmetic: a canonical residual and its insertion into reduced
+rows, on residues over F_p and fraction-free over Q (``int_elimination``,
+``int_rref``); everything is immutable and deterministic.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 # PEP 604 unions: typing.Union would keep the classes in typing's cache, and
 # with them this module, after the package is dropped and imported afresh
@@ -177,39 +176,6 @@ def field_from_json(data) -> Field:
     raise FieldError(f"unrecognized field spec {data!r}")
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable rectangular matrix over a single field."""
-
-    field: Field
-    rows: tuple[tuple[Scalar, ...], ...]
-    ncols: int
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix rows")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def matrix(field: Field, rows: Iterable[Iterable], ncols: int | None = None) -> Matrix:
-    coerced = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-    if ncols is None:
-        if not coerced:
-            raise ValueError("ncols required for a matrix with no rows")
-        ncols = len(coerced[0])
-    return Matrix(field, coerced, ncols)
-
-
-class RrefResult(NamedTuple):
-    matrix: Matrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
 def integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
     """A rational row times the lcm of its denominators: primitive when the
     row has a unit entry, as a normalized covector does."""
@@ -241,23 +207,6 @@ def int_rref(field: Field, rows: Iterable[Sequence[int]]):
         if r is not None:
             reduced, pivots = insert(reduced, pivots, r)
     return reduced, pivots
-
-
-def _rref_rows(field: Field, rows: Iterable[Sequence[Scalar]]):
-    """Reduced row echelon form on raw rows; returns (rows, pivots).  The
-    rows are reduced by ``int_rref``; over Q the fraction-free rows are
-    divided by their pivots at the end."""
-    to_int = int_elimination(field)[0]
-    reduced, pivots = int_rref(field, [to_int(row) for row in rows])
-    if field.kind == "Q":
-        reduced = tuple(tuple([Fraction(x, row[c]) for x in row]) for row, c in zip(reduced, pivots))
-    return reduced, pivots
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, with rank and pivot columns."""
-    rows, pivots = _rref_rows(m.field, m.rows)
-    return RrefResult(Matrix(m.field, rows, m.ncols), len(rows), pivots)
 
 
 def residual_mod(p: int, inverses: dict, rows, pivots, vector):
@@ -307,14 +256,6 @@ def insert_mod(p: int, rows, pivots, r):
     k = bisect(pivots, lead)
     new_rows.insert(k, r)
     return tuple(new_rows), pivots[:k] + (lead,) + pivots[k:]
-
-
-def extend_rref_mod(p: int, rows, pivots, vector):
-    """One row of canonical residues in ``[0, p)`` inserted into rref rows
-    over F_p: ``None`` when it lies in the row space, otherwise the extended
-    ``(rows, pivots)``."""
-    r = residual_mod(p, {}, rows, pivots, vector)
-    return None if r is None else insert_mod(p, rows, pivots, r)
 
 
 def residual_int(rows, pivots, vector):
@@ -371,30 +312,6 @@ def insert_int(rows, pivots, r):
     k = bisect(pivots, lead)
     new_rows.insert(k, r)
     return tuple(new_rows), pivots[:k] + (lead,) + pivots[k:]
-
-
-def extend_rref_int(rows, pivots, vector):
-    """One integer row inserted into fraction-free reduced integer rows:
-    ``None`` when it lies in the row space, otherwise the extended
-    ``(rows, pivots)``."""
-    r = residual_int(rows, pivots, vector)
-    return None if r is None else insert_int(rows, pivots, r)
-
-
-def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
-    """Canonical kernel basis read off the free columns of the rref."""
-    field = m.field
-    rows, pivots = _rref_rows(field, m.rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [field.zero] * m.ncols
-        v[fc] = field.one
-        for row, pc in zip(rows, pivots):
-            v[pc] = field.neg(row[fc])
-        basis.append(tuple(v))
-    return basis
 
 
 def normalize_covector(field: Field, v: Sequence) -> tuple[Scalar, ...]:

@@ -106,7 +106,7 @@ def flag_from_json(arr: Arrangement, data) -> DivisionalFlag:
         # the listed members are the certificate's claim; verify checks that
         # they are closed, so they are kept as listed rather than closed here
         span = flat_from_members(arr, members)
-        flats.append(Flat(arr, span.codim, tuple(members), span.normal_space))
+        flats.append(Flat(arr, span.codim, tuple(members)))
         charpolys.append(poly_from_json(entry.get("charpoly")))
     exponents = data.get("exponents")
     if exponents is not None and (

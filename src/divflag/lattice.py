@@ -8,8 +8,7 @@ by the residual of H_h's covector modulo Y's normal space; each class is
 extended once, and the extension is keyed by a canonical row set of the
 flat's normal space: its rref over F_p, and over Q its fraction-free
 reduced integer rows, which are exact for any coefficients.  Only those
-residuals and extensions touch coordinates, and a flat's normal space is
-computed only when it is read.  A flat's member set is the union of
+residuals and extensions touch coordinates.  A flat's member set is the union of
 members(Y) ∪ class over the classes that reach it (matroid closure), and
 its Möbius value follows from Weisner's theorem with the atom of its
 largest member, so neither needs arithmetic.  Member sets are kept as
@@ -174,8 +173,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     Covers are keyed by a canonical row set of their normal space, built in
     plain int arithmetic (``int_elimination``): the rref over F_p, and over
     Q the fraction-free reduced rows of the integer covectors, which are
-    exact for any coefficients.  The flats' normal spaces are left to be
-    computed on demand.
+    exact for any coefficients.  The flats keep only their member sets.
     """
     field = arr.field
     n = len(arr)

@@ -1,6 +1,6 @@
 """Shared helpers: deterministic random arrangements and multiplicities, and
-the field-generic rref row insertion that the integer eliminations are
-checked against."""
+the field-generic rref (one row insertion at a time) and kernel basis that
+the integer eliminations are checked against."""
 
 from __future__ import annotations
 
@@ -99,3 +99,29 @@ def extend_rref(field: Field, rows, pivots, vector):
         new_rows.append(v)
         new_pivots.append(lead)
     return tuple(tuple(r) for r in new_rows), tuple(new_pivots)
+
+
+def reference_rref(field: Field, rows):
+    """The rref of rows of field scalars (or ints, coerced into the field),
+    inserted one at a time by ``extend_rref``; returns (rows, pivots)."""
+    reduced, pivots = (), ()
+    for row in rows:
+        extended = extend_rref(field, reduced, pivots, [field.coerce(x) for x in row])
+        if extended is not None:
+            reduced, pivots = extended
+    return reduced, pivots
+
+
+def reference_kernel(field: Field, rows, ncols: int):
+    """Canonical kernel basis read off the free columns of ``reference_rref``."""
+    reduced, pivots = reference_rref(field, rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for row, pc in zip(reduced, pivots):
+            v[pc] = field.neg(row[fc])
+        basis.append(tuple(v))
+    return basis

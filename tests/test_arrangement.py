@@ -23,15 +23,16 @@ from divflag.arrangement import Flat
 from divflag.catalog import (
     CATALOG_NAMES,
     boolean,
+    braid,
     build_entry,
     edelman_reiner_restriction,
     pentagon_cone,
     xyzw_example,
 )
-from divflag.exactalg import QQ, PrimeField, kernel_basis, normalize_covector, _rref_rows
+from divflag.exactalg import QQ, PrimeField, normalize_covector
 from divflag.lattice import build_lattice, char_data
 
-from conftest import random_arrangement
+from conftest import random_arrangement, reference_kernel, reference_rref
 
 
 def test_make_arrangement_boolean():
@@ -128,9 +129,9 @@ def test_restriction_members_reproduce_localization():
 
 def _reference_restriction(arr, flat):
     """Each non-member covector projected onto the kernel basis of the
-    flat's normal space and normalized; equal projections share a trace."""
+    members' covectors and normalized; equal projections share a trace."""
     field = arr.field
-    basis = kernel_basis(flat.normal_space)
+    basis = reference_kernel(field, [arr.hyperplanes[h] for h in flat.members], arr.dim)
     index, covs, trace = {}, [], []
     for h, cov in enumerate(arr.hyperplanes):
         if h in flat.members:
@@ -173,10 +174,15 @@ def test_restriction_matches_kernel_projection_random(p):
 
 
 def test_restriction_rejects_a_flat_missing_a_member():
-    arr = boolean(3)
-    flat = Flat(arr, 1, (), hyperplane_flat(arr, 0).normal_space)
-    with pytest.raises(ValueError):
-        restriction(arr, flat)
+    # a codimension that is not the members' rank, or a member left out of
+    # a flat whose members span it (braid(3)'s third hyperplane contains
+    # the line cut out by the first two)
+    arr, br = boolean(3), braid(3)
+    for flat in (Flat(arr, 1, ()), Flat(arr, 2, (0,)), Flat(arr, 1, (0, 1))):
+        with pytest.raises(ValueError, match="rank"):
+            restriction(arr, flat)
+    with pytest.raises(ValueError, match="not one of its members"):
+        restriction(br, Flat(br, 2, (0, 1)))
 
 
 def test_restriction_zero_dimensional_rejected():
@@ -231,8 +237,8 @@ def _affine_whitney(field, dim, affine, t):
         for subset in itertools.combinations(affine, size):
             rows = [list(cov) for cov, _ in subset]
             aug = [list(cov) + [c] for cov, c in subset]
-            _, piv = _rref_rows(field, rows)
-            _, piv_aug = _rref_rows(field, aug)
+            _, piv = reference_rref(field, rows)
+            _, piv_aug = reference_rref(field, aug)
             if len(piv) == len(piv_aug):  # consistent system
                 total += (-1) ** size * t ** (dim - len(piv))
     return total

@@ -6,63 +6,51 @@ import pytest
 
 from divflag.exactalg import (
     FieldError,
-    Matrix,
     PrimeField,
     QQ,
     PRIME_LIMIT,
-    extend_rref_int,
-    extend_rref_mod,
     insert_int,
     insert_mod,
     int_elimination,
+    int_rref,
+    integer_row,
     is_prime,
-    kernel_basis,
-    matrix,
     normalize_covector,
     residual_int,
     residual_mod,
-    rref,
-    _rref_rows,
 )
 
-from conftest import extend_rref
+from conftest import extend_rref, reference_kernel, reference_rref
 
 
 def test_rref_identity():
-    m = matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    r = rref(m)
-    assert r.matrix == m
-    assert r.rank == 3
-    assert r.pivots == (0, 1, 2)
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert int_rref(QQ, rows) == (rows, (0, 1, 2))
 
 
 def test_rref_zero():
-    m = matrix(QQ, [[0, 0, 0, 0], [0, 0, 0, 0]])
-    r = rref(m)
-    assert r.rank == 0
-    assert r.pivots == ()
-    assert r.matrix.rows == ()
+    assert int_rref(QQ, [(0, 0, 0, 0), (0, 0, 0, 0)]) == ((), ())
 
 
 def test_rref_proportional_rows():
-    m = matrix(QQ, [[1, 1], [2, 2]])
-    r = rref(m)
-    assert r.rank == 1
-    assert r.matrix.rows == ((Fraction(1), Fraction(1)),)
+    assert int_rref(QQ, [(1, 1), (2, 2)]) == (((1, 1),), (0,))
 
 
 def test_rref_idempotent_random():
     rng = random.Random(7)
-    for _ in range(50):
-        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 5))]
-        r1 = rref(matrix(QQ, rows, 4))
-        r2 = rref(r1.matrix)
-        assert r1.matrix == r2.matrix
+    for p in (None, 7):
+        field = QQ if p is None else PrimeField(p)
+        for _ in range(50):
+            rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 5))]
+            if p is not None:
+                rows = [[x % p for x in row] for row in rows]
+            reduced = int_rref(field, rows)
+            assert int_rref(field, reduced[0]) == reduced
 
 
 def _reference_rref_rows(rows, ncols, field=QQ):
     """Field-generic Gauss-Jordan elimination on field scalars (``Fraction``
-    entries over Q), a test oracle for the integer paths of ``_rref_rows``."""
+    entries over Q), a test oracle for ``int_rref`` and ``reference_rref``."""
     work = [list(r) for r in rows]
     zero = field.zero
     sub, mul, inv = field.sub, field.mul, field.inv
@@ -104,6 +92,12 @@ def _random_rational(rng):
     return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
 
+def _divided_by_pivots(reduced):
+    """Fraction-free rows divided by their pivots: the rational rref."""
+    rows, pivots = reduced
+    return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)), pivots
+
+
 @pytest.mark.parametrize("shape", ["square", "tall", "wide"])
 def test_rref_rows_q_matches_fraction_elimination(shape):
     rng = random.Random({"square": 29, "tall": 31, "wide": 37}[shape])
@@ -116,7 +110,9 @@ def test_rref_rows_q_matches_fraction_elimination(shape):
             rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 5)) * x for x in rows[0]])
             rows.append([Fraction(0)] * ncols)
             rng.shuffle(rows)
-        assert _rref_rows(QQ, rows) == _reference_rref_rows(rows, ncols)
+        expected = _reference_rref_rows(rows, ncols)
+        assert _divided_by_pivots(int_rref(QQ, [integer_row(row) for row in rows])) == expected
+        assert reference_rref(QQ, rows) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
@@ -131,7 +127,9 @@ def test_rref_rows_fp_matches_field_elimination(p):
             rows.append([field.mul(rng.randrange(p), x) for x in rows[0]])
             rows.append([0] * ncols)
             rng.shuffle(rows)
-        assert _rref_rows(field, rows) == _reference_rref_rows(rows, ncols, field)
+        expected = _reference_rref_rows(rows, ncols, field)
+        assert int_rref(field, rows) == expected
+        assert reference_rref(field, rows) == expected
 
 
 def test_rref_rows_q_edge_cases():
@@ -145,35 +143,48 @@ def test_rref_rows_q_edge_cases():
         ([[Fraction(10**30, 7), Fraction(1, 10**20)], [Fraction(1), Fraction(-1, 3)]], 2),
     ]
     for rows, ncols in cases:
-        result = _rref_rows(QQ, rows)
-        assert result == _reference_rref_rows(rows, ncols)
-        assert all(type(x) is Fraction for row in result[0] for x in row)
-    assert _rref_rows(QQ, [[half, third], [Fraction(3), Fraction(2)]]) == \
-        (((Fraction(1), Fraction(2, 3)),), (0,))
+        result = int_rref(QQ, [integer_row(row) for row in rows])
+        assert _divided_by_pivots(result) == _reference_rref_rows(rows, ncols)
+        assert all(type(x) is int for row in result[0] for x in row)
+    assert int_rref(QQ, [integer_row(row) for row in [[half, third], [Fraction(3), Fraction(2)]]]) == \
+        (((3, 2),), (0,))
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(matrix(QQ, [[1, 0], [0, 1]])) == []
+    assert reference_kernel(QQ, [[1, 0], [0, 1]], 2) == []
 
 
 def test_kernel_rank_nullity():
-    basis = kernel_basis(matrix(QQ, [[1, 1, 1]]))
+    basis = reference_kernel(QQ, [[1, 1, 1]], 3)
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
 
 
 def test_kernel_full_column_rank():
-    assert kernel_basis(matrix(QQ, [[1, 0], [0, 1], [1, 1]])) == []
+    assert reference_kernel(QQ, [[1, 0], [0, 1], [1, 1]], 2) == []
 
 
 def test_rank_plus_nullity_random():
+    """The rank from ``int_rref`` plus the oracle's nullity is the column
+    count, and every oracle kernel vector is orthogonal to every row."""
     rng = random.Random(11)
-    for _ in range(50):
-        cols = rng.randint(1, 5)
-        rows = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
-        m = matrix(QQ, rows, cols)
-        assert rref(m).rank + len(kernel_basis(m)) == cols
+    for p in (None, 5):
+        field = QQ if p is None else PrimeField(p)
+        for _ in range(50):
+            cols = rng.randint(1, 5)
+            rows = [[field.coerce(rng.randint(-2, 2)) for _ in range(cols)]
+                    for _ in range(rng.randint(1, 5))]
+            to_int = int_elimination(field)[0]
+            _, pivots = int_rref(field, [to_int(row) for row in rows])
+            basis = reference_kernel(field, rows, cols)
+            assert len(pivots) + len(basis) == cols
+            for v in basis:
+                for row in rows:
+                    dot = field.zero
+                    for x, y in zip(row, v):
+                        dot = field.add(dot, field.mul(x, y))
+                    assert dot == field.zero
 
 
 def test_normalize_rational():
@@ -218,15 +229,13 @@ def test_extend_rref_matches_full_rref():
         cols = rng.randint(2, 5)
         base = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
         extra = [rng.randint(-2, 2) for _ in range(cols)]
-        r = rref(matrix(QQ, base, cols))
-        rows = tuple(r.matrix.rows)
-        extended = extend_rref(QQ, rows, r.pivots, [Fraction(x) for x in extra])
-        full = rref(matrix(QQ, base + [extra], cols))
+        rows, pivots = _reference_rref_rows([[Fraction(x) for x in row] for row in base], cols)
+        extended = extend_rref(QQ, rows, pivots, [Fraction(x) for x in extra])
+        full = _reference_rref_rows([[Fraction(x) for x in row] for row in base + [extra]], cols)
         if extended is None:
-            assert full.rank == r.rank
+            assert full == (rows, pivots)
         else:
-            assert extended[0] == full.matrix.rows
-            assert extended[1] == full.pivots
+            assert extended == full
 
 
 def test_extend_rref_mod_matches_prime_field():
@@ -237,10 +246,17 @@ def test_extend_rref_mod_matches_prime_field():
             cols = rng.randint(2, 5)
             base = [[rng.randrange(p) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
             extra = tuple(rng.randrange(p) for _ in range(cols))
-            r = rref(matrix(field, base, cols))
-            rows = tuple(r.matrix.rows)
-            assert extend_rref_mod(p, rows, r.pivots, extra) == \
-                extend_rref(field, rows, r.pivots, extra)
+            rows, pivots = int_rref(field, base)
+            r = residual_mod(p, {}, rows, pivots, extra)
+            extended = None if r is None else insert_mod(p, rows, pivots, r)
+            assert extended == extend_rref(field, rows, pivots, extra)
+
+
+def _extend_int(rows, pivots, vector):
+    """One integer row inserted into fraction-free reduced rows: ``None``
+    when it lies in the row space, otherwise the extended (rows, pivots)."""
+    r = residual_int(rows, pivots, vector)
+    return None if r is None else insert_int(rows, pivots, r)
 
 
 def _battery_vector(rng, rows, cols):
@@ -272,7 +288,7 @@ def test_extend_rref_int_matches_rational():
             added.append(vec)
             if not any(vec):
                 continue
-            ext_int = extend_rref_int(rows_int, pivots_int, vec)
+            ext_int = _extend_int(rows_int, pivots_int, vec)
             ext_q = extend_rref(QQ, rows_q, pivots_q, [Fraction(x) for x in vec])
             assert (ext_int is None) == (ext_q is None)
             if ext_int is None:
@@ -290,9 +306,10 @@ def test_extend_rref_int_matches_rational():
 
 
 def test_extend_rref_int_keeps_a_non_unit_pivot():
-    assert extend_rref_int((), (), (-4, 2, 6)) == (((2, -1, -3),), (0,))
-    assert extend_rref_int(((2, -1, -3),), (0,), (0, 3, 0)) == (((2, 0, -3), (0, 1, 0)), (0, 1))
-    assert extend_rref_int(((2, 0, -3), (0, 1, 0)), (0, 1), (4, 5, -6)) is None
+    assert _extend_int((), (), (-4, 2, 6)) == (((2, -1, -3),), (0,))
+    assert _extend_int(((2, -1, -3),), (0,), (0, 3, 0)) == (((2, 0, -3), (0, 1, 0)), (0, 1))
+    assert _extend_int(((2, 0, -3), (0, 1, 0)), (0, 1), (4, 5, -6)) is None
+    assert int_rref(QQ, [(-4, 2, 6), (0, 3, 0), (4, 5, -6)]) == (((2, 0, -3), (0, 1, 0)), (0, 1))
 
 
 @pytest.mark.parametrize("p", [None, 5, 7, 2**31 - 1])
@@ -386,8 +403,3 @@ def test_prime_field_arithmetic():
     assert f5.add(3, 4) == 2
     assert f5.inv(2) == 3
     assert f5.coerce(-1) == 4
-
-
-def test_matrix_ragged_rejected():
-    with pytest.raises(ValueError):
-        Matrix(QQ, ((Fraction(1),), (Fraction(1), Fraction(2))), 1)

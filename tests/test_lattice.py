@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import itertools
 import random
@@ -11,6 +12,7 @@ from divflag.arrangement import (
     deletion,
     flat_from_members,
     make_arrangement,
+    rank_of,
     restrict_to_hyperplane,
     restriction,
 )
@@ -34,7 +36,12 @@ from divflag.lattice import (
     whitney_oracle,
 )
 
-from conftest import extend_rref, random_arrangement, reduce_against
+from conftest import extend_rref, random_arrangement, reduce_against, reference_rref
+
+
+def _member_rref(arr, flat):
+    """The field-generic rref of the covectors of a flat's members."""
+    return reference_rref(arr.field, [arr.hyperplanes[h] for h in flat.members])
 
 
 def test_boolean3_levels_and_mobius():
@@ -69,9 +76,8 @@ def test_members_are_maximal():
         arr = random_arrangement(rng, 3, rng.randint(3, 7))
         lat = build_lattice(arr)
         for flat in lat.flats():
-            rows = flat.normal_space.rows
+            rows, pivots = _member_rref(arr, flat)
             zero = arr.field.zero
-            pivots = tuple(next(j for j, x in enumerate(row) if x != zero) for row in rows)
             for h, cov in enumerate(arr.hyperplanes):
                 inside = all(
                     x == zero for x in reduce_against(arr.field, rows, pivots, cov)
@@ -131,7 +137,7 @@ def _assert_matches_reference(arr, max_codim=None):
     assert [list(m) for m in lat.mobius] == mobius
     assert len(lat.levels) == len(rows)
     for codim, (level, level_rows, level_masks) in enumerate(zip(lat.levels, rows, masks)):
-        assert [f.normal_space.rows for f in level] == level_rows
+        assert [_member_rref(arr, f)[0] for f in level] == level_rows
         assert [f.codim for f in level] == [codim] * len(level)
         assert [f.members for f in level] == [
             tuple(h for h in range(len(arr)) if mask >> h & 1) for mask in level_masks
@@ -214,8 +220,7 @@ def _assert_residuals_group_covers(arr):
     lat = build_lattice(arr)
     for level, flats in enumerate(lat.levels):
         for index, flat in enumerate(flats):
-            rows = flat.normal_space.rows
-            pivots = tuple(next(j for j, x in enumerate(row) if x != field.zero) for row in rows)
+            rows, pivots = _member_rref(arr, flat)
             int_rows = [to_int(row) for row in rows]
             by_residual, by_extension = {}, {}
             start = max(flat.members, default=-1) + 1
@@ -273,8 +278,10 @@ def test_build_makes_one_insert_per_cover_class(monkeypatch):
 
 
 def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
-    """Over Q the flats are keyed by integer rows; the only code of the
-    fractions module that the build runs reads numerators and denominators."""
+    """Over Q the flats are keyed by integer rows, and ``rank_of`` and
+    ``flat_from_members`` reduce integer rows too; the only code of the
+    fractions module that any of them runs reads numerators and
+    denominators."""
     arr = weyl_b(4)
     called = set()
 
@@ -285,21 +292,24 @@ def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
     sys.setprofile(profile)
     try:
         lat = build_lattice(arr)
+        rank = rank_of(arr)
+        spanned = flat_from_members(arr, lat.levels[2][0].members[:2])
     finally:
         sys.setprofile(None)
     assert called <= {"numerator", "denominator"}
-    assert all(flat._normal_space is None for flat in lat.flats())
+    assert rank == 4
+    assert spanned == lat.levels[2][0]
 
 
 def test_read_and_unread_flats_compare_equal():
+    """A flat is its parent, codimension and member set: the same flat from
+    two builds and from ``flat_from_members`` compares and hashes equal."""
     arr = weyl_b(3)
-    read, unread = build_lattice(arr).levels[2], build_lattice(arr).levels[2]
-    for flat in read:
-        flat.normal_space
-    assert read == unread
-    assert [hash(f) for f in read] == [hash(f) for f in unread]
-    assert all(f._normal_space is not None for f in read)
-    assert all(f._normal_space is None for f in unread)
+    built, rebuilt = build_lattice(arr).levels[2], build_lattice(arr).levels[2]
+    spanned = tuple(flat_from_members(arr, f.members) for f in built)
+    assert built == rebuilt == spanned
+    assert [hash(f) for f in built] == [hash(f) for f in rebuilt] == [hash(f) for f in spanned]
+    assert [f.name for f in dataclasses.fields(built[0])] == ["parent", "codim", "members"]
 
 
 @pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
@@ -307,7 +317,7 @@ def test_normal_space_on_demand_matches_flat_from_members(name, arr):
     for flat in build_lattice(arr).flats():
         spanned = flat_from_members(arr, flat.members)
         assert spanned == flat
-        assert flat.normal_space == spanned.normal_space
+        assert flat.codim == len(_member_rref(arr, flat)[1])
 
 
 def test_covers_step_one_codim():
@@ -363,17 +373,19 @@ def test_interval_queries_random(p):
 
 def _geometric_minor(arr, lat, level, index, deleted):
     """(A − S)^X built with ``deletion`` then ``restriction`` onto the
-    subspace X, whose defining hyperplanes may be among those deleted."""
+    subspace X.  Only S − members(X) is deleted: the hyperplanes that
+    contain X do not enter (A − S)^X, and keeping them leaves X spanned by
+    its members in the deleted arrangement."""
+    members = lat.levels[level][index].members
+    deleted &= ~sum(1 << h for h in members)
     minor = arr
     for h in reversed(range(len(arr))):
         if deleted >> h & 1:
             minor = deletion(minor, h)
     if level == 0:
         return minor
-    flat = lat.levels[level][index]
     kept = [h for h in range(len(arr)) if not deleted >> h & 1]
-    members = tuple(kept.index(h) for h in flat.members if h in kept)
-    return restriction(minor, Flat(minor, level, members, flat.normal_space)).arrangement
+    return restriction(minor, Flat(minor, level, tuple(kept.index(h) for h in members))).arrangement
 
 
 def _assert_minor_charpolys(arr, rng, tries=3):

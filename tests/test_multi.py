@@ -15,7 +15,7 @@ from divflag.catalog import (
     xyzw_restriction,
 )
 from divflag import multi
-from divflag.exactalg import PrimeField, QQ, kernel_basis, matrix, normalize_covector, _rref_rows
+from divflag.exactalg import PrimeField, QQ, normalize_covector
 from divflag.lattice import char_data
 from divflag.multi import (
     MultiArrangement,
@@ -31,7 +31,7 @@ from divflag.multi import (
     ziegler_restriction,
 )
 
-from conftest import extend_rref, random_arrangement, random_rank2_multi
+from conftest import extend_rref, random_arrangement, random_rank2_multi, reference_kernel, reference_rref
 
 
 def _lines(*covs):
@@ -111,7 +111,7 @@ def test_exp2_embedded_rank2():
 def _reference_two_coordinates(arr):
     """The lines of a rank-2 arrangement as normalized field pairs, read at
     the pivots of the field-generic rref."""
-    rows, pivots = _rref_rows(arr.field, arr.hyperplanes)
+    rows, pivots = reference_rref(arr.field, arr.hyperplanes)
     if len(pivots) != 2:
         raise ValueError(f"expected a rank-2 arrangement, got rank {len(pivots)}")
     return [normalize_covector(arr.field, (cov[pivots[0]], cov[pivots[1]])) for cov in arr.hyperplanes]
@@ -143,7 +143,7 @@ def _reference_rem_table(field, root, m, d):
 def _reference_kernel(field, pairs, mults, d):
     """The kernel of the degree-d containment conditions, with each line's
     rows taken from remainders mod (t + b/a)^m and solved by the
-    field-generic ``kernel_basis``."""
+    field-generic ``reference_kernel``."""
     ncols = 2 * (d + 1)
     rows = []
     for (a, b), m in zip(pairs, mults):
@@ -162,7 +162,7 @@ def _reference_kernel(field, pairs, mults, d):
                 row[i] = field.mul(a, w)
                 row[d + 1 + i] = field.mul(b, w)
             rows.append(row)
-    return kernel_basis(matrix(field, rows, ncols))
+    return reference_kernel(field, rows, ncols)
 
 
 def _reference_form_mul(field, f, g):
