@@ -1,19 +1,18 @@
 """Intersection lattices, Möbius functions, characteristic polynomials,
 and two independent oracles for cross-checking them.
 
-The lattice is built rank by rank: each level is the deduplicated set of
-one-hyperplane extensions Y ∧ H_h (h > max Y) of the previous one.  The
-h > max Y fall into cover classes of Y, one per flat Y ∧ H_h, told apart
-by the residual of H_h's covector modulo Y's normal space; each class is
-extended once, and the extension is keyed by a canonical row set of the
-flat's normal space: its rref over F_p, and over Q its fraction-free
-reduced integer rows, which are exact for any coefficients.  Only those
-residuals and extensions touch coordinates.  A flat's member set is the union of
-members(Y) ∪ class over the classes that reach it (matroid closure), and
-its Möbius value follows from Weisner's theorem with the atom of its
-largest member, so neither needs arithmetic.  Member sets are kept as
-bitmasks so interval containment (reverse inclusion) is a single subset
-test.
+The lattice is built rank by rank.  Each flat Y carries the partition of
+its non-members into cover classes, one per cover of Y, told apart by the
+canonical residual of a covector modulo Y's normal space; a class names
+the exact member set of its cover, members(Y) ∪ class, so each cover is
+found by its member mask.  A new flat takes its rows (one ``insert``) and
+its partition (one-row reductions of the other classes) from the first
+flat that reaches it.  Rows are canonical: the rref over F_p, and over Q
+the fraction-free reduced integer rows, which are exact for any
+coefficients.  Only residuals and inserts touch coordinates.  Möbius
+values follow from Weisner's theorem with the atom of a flat's largest
+member, so they need no arithmetic.  Member sets are kept as bitmasks so
+interval containment (reverse inclusion) is a single subset test.
 """
 
 from __future__ import annotations
@@ -153,74 +152,117 @@ def _row_order(field, level):
 def build_lattice(arr: Arrangement, max_codim: int | None = None) -> IntersectionLattice:
     """Levels, members, and Möbius values of the intersection lattice.
 
-    Each flat X of codimension k is found as Y ∧ H_h from a flat Y of
-    codimension k-1 and a hyperplane h > max(Y).  The h > max(Y) fall into
-    classes, one per cover X of Y that they reach: Y ∧ H_h = Y ∧ H_h'
-    exactly when h and h' have the same ``residual`` modulo Y's rows, so
-    each class costs one ``insert`` and one lookup.
+    Each flat Y of a level carries its cover partition: the non-members of
+    Y grouped into classes, one per cover Y ⋖ X, with members(X) =
+    members(Y) ∪ class.  h and h' share a class exactly when their covectors
+    have the same canonical ``residual`` modulo Y's rows, and the classes
+    are disjoint and cover every non-member (the covers of a flat partition
+    its non-members; Oxley, *Matroid Theory*, ch. 1).  So a class r of Y
+    names the exact member mask of its cover, and the next level is every
+    such mask, found once.  V's classes are the hyperplanes themselves.
 
-    With m = max(X), every member h' ≠ m lies in a basis B of members(X)
-    that contains m, and Y = cl(B - {m}) reaches X and contains h'; so
-    OR-ing members(Y) with the class over the Ys that reach X gives the
-    closed member set of X without testing any covector against X.
+    The first Y in level order to reach X gives X its rows,
+    ``insert(rows(Y), r)``, one per flat, and its partition: each other
+    class r' of Y keeps its bits and its residual reduced by r alone.  That
+    residual is canonical for X: r' − (r'[ℓ]/r[ℓ])·r, for ℓ the lead of r,
+    vanishes on every pivot of X and lies in the span of any covector of
+    the class and the rows of X, and a canonical residual is unique.  When
+    r'[ℓ] = 0, r' is already canonical and kept as it is.  The reduction
+    depends on (r, r') only, and in a root system the same pairs recur
+    across a level (Weyl B6: 1 088 distinct pairs for 19 724 reductions),
+    so each pair is reduced once per level.  A line X (codimension dim - 1)
+    needs none: its only cover is the origin, so its partition is one
+    class, every non-member, whose residual is the unit vector of the one
+    column that is not a pivot of X.
 
-    A Y reaches X exactly when it is a cover Y ⋖ X that avoids H_m: then
-    max(Y) < m, and m lies in its class.  So Weisner's theorem for the atom
-    H_m gives μ(X) = -Σ μ(Y) over the classes that reach X (Stanley,
-    *Enumerative Combinatorics* I, §3.9; Orlik–Terao, *Arrangements of
-    Hyperplanes*, ch. 2).
+    Every cover pair Y ⋖ X is visited, and with m = max(X) the pairs that
+    avoid H_m are those with m in Y's class.  Weisner's theorem for the atom
+    H_m gives μ(X) = -Σ μ(Y) over them (Stanley, *Enumerative Combinatorics*
+    I, §3.9; Orlik–Terao, *Arrangements of Hyperplanes*, ch. 2).
 
-    Covers are keyed by a canonical row set of their normal space, built in
-    plain int arithmetic (``int_elimination``): the rref over F_p, and over
-    Q the fraction-free reduced rows of the integer covectors, which are
-    exact for any coefficients.  The flats keep only their member sets.
+    Rows are built in plain int arithmetic (``int_elimination``): the rref
+    over F_p, and over Q the fraction-free reduced rows of the integer
+    covectors, which are exact for any coefficients.  They order each level
+    and are kept for the last level built only; the flats keep only their
+    member sets, and no partition is computed for the last level.
     """
     field = arr.field
-    n = len(arr)
-    dim = arr.dim
-    limit = dim if max_codim is None else min(max_codim, dim)
+    limit = arr.dim if max_codim is None else min(max_codim, arr.dim)
     to_int, residual, insert = int_elimination(field)
-    covectors = [to_int(cov) for cov in arr.hyperplanes]
 
-    # per level: (rows, pivots, member mask, Möbius value)
-    levels_raw = [[((), (), 0, 1)]]
-    while len(levels_raw) - 1 < limit:
-        # rows -> [pivots, member mask, Σμ over the classes that reach it]
-        found: dict[tuple, list] = {}
-        for rows, pivots, mask, mu in levels_raw[-1]:
-            # members all precede the start index, so every residual is nonzero;
-            # residual -> the bits of its class, the h that reach one cover
-            classes: dict[tuple, int] = {}
-            for h in range(mask.bit_length(), n):
-                r = residual(rows, pivots, covectors[h])
-                classes[r] = classes.get(r, 0) | 1 << h
-            for r, bits in classes.items():
-                extended, new_pivots = insert(rows, pivots, r)
-                entry = found.get(extended)
+    # residual -> the bits of its class; at V every hyperplane is a class
+    partition = {residual((), (), to_int(cov)): 1 << h for h, cov in enumerate(arr.hyperplanes)}
+    masks, mobius = [(0,)], [(1,)]
+    # the flats of the last level: [rows, pivots, member mask, μ, partition]
+    frontier = [[(), (), 0, 1, partition]]
+    # e_c, the residual of every non-member of a line whose free column is c
+    units = [tuple(int(i == c) for i in range(arr.dim)) for c in range(arr.dim)]
+    everything = (1 << len(arr)) - 1
+    while len(masks) <= limit:
+        partitioned = len(masks) < limit  # the new level is not the last one
+        lines = len(masks) == arr.dim - 1
+        found: dict[int, list] = {}  # member mask -> [rows, pivots, mask, Σμ, partition]
+        # class residual r -> (its lead, {residual r' -> r' reduced by r}): the
+        # same pair recurs across the flats of a level of a root system
+        reductions: dict[tuple, tuple[int, dict]] = {}
+        frontier.reverse()
+        while frontier:
+            rows, pivots, mask, mu, partition = frontier.pop()
+            for r, bits in partition.items():
+                x = mask | bits
+                entry = found.get(x)
                 if entry is None:
-                    found[extended] = [new_pivots, mask | bits, mu]
-                else:
-                    entry[1] |= mask | bits
-                    entry[2] += mu
+                    new_rows, new_pivots = insert(rows, pivots, r)
+                    child = None
+                    if lines and partitioned:
+                        # a line's only cover is the origin; its pivots are
+                        # every column but one, the sum 0 + 1 + ... + (dim - 1)
+                        # less theirs
+                        rest = everything & ~x
+                        free = arr.dim * (arr.dim - 1) // 2 - sum(new_pivots)
+                        child = {units[free]: rest} if rest else {}
+                    elif partitioned:
+                        known = reductions.get(r)
+                        if known is None:
+                            for lead, a in enumerate(r):
+                                if a:
+                                    break
+                            known = reductions[r] = (lead, {})
+                        lead, reduced = known
+                        # classes zero at the lead keep their residual, and no
+                        # two of them merge; the others may merge with any class
+                        child = {s: other for s, other in partition.items() if not s[lead]}
+                        for s, other in partition.items():
+                            if s[lead] and s is not r:
+                                t = reduced.get(s)
+                                if t is None:
+                                    t = reduced[s] = residual((r,), (lead,), s)
+                                child[t] = child.get(t, 0) | other
+                    entry = found[x] = [new_rows, new_pivots, x, 0, child]
+                if bits.bit_length() == x.bit_length():
+                    entry[3] += mu
         if not found:
             break
-        level = [(rows, pivots, mask, -mu_sum) for rows, (pivots, mask, mu_sum) in found.items()]
-        level.sort(key=_row_order(field, level))
-        levels_raw.append(level)
+        frontier = list(found.values())
+        frontier.sort(key=_row_order(field, frontier))
+        for entry in frontier:
+            entry[3] = -entry[3]
+        masks.append(tuple(entry[2] for entry in frontier))
+        mobius.append(tuple(entry[3] for entry in frontier))
 
     flats = tuple(
-        tuple(Flat(arr, codim, _set_bits(mask)) for _, _, mask, _ in level)
-        for codim, level in enumerate(levels_raw)
+        tuple(Flat(arr, codim, _set_bits(mask)) for mask in level)
+        for codim, level in enumerate(masks)
     )
 
     # a capped build is still complete when it stopped before hitting the cap
-    complete = max_codim is None or len(flats) - 1 < limit or limit == dim
+    complete = max_codim is None or len(flats) - 1 < limit or limit == arr.dim
     return IntersectionLattice(
         arrangement=arr,
         levels=flats,
-        mobius=tuple(tuple(entry[3] for entry in level) for level in levels_raw),
+        mobius=tuple(mobius),
         complete=complete,
-        _masks=tuple(tuple(entry[2] for entry in level) for level in levels_raw),
+        _masks=tuple(masks),
     )
 
 

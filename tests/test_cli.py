@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -16,9 +18,10 @@ from divflag.jsonio import (
     arrangement_from_json,
     arrangement_to_json,
     load_arrangement,
+    save_json,
     verify_certificate,
 )
-from divflag.catalog import edelman_reiner_restriction, intermediate, xyzw_example
+from divflag.catalog import edelman_reiner_restriction, intermediate, weyl_b, xyzw_example
 from divflag.lattice import char_data
 from divflag.exactalg import PrimeField, QQ
 from divflag.arrangement import make_arrangement
@@ -366,6 +369,31 @@ def test_lattice_report(tmp_path):
     assert report["level_sizes"] == [1, 3, 3, 1]
     assert report["chi"] == [-1, 3, -3, 1]
     assert len(report["flats"]) == 8
+
+
+# sha256 of the `lattice --json` report of Weyl B5 (648 flats) with its
+# hyperplanes shuffled by random.Random(13); any change to a level's order, a
+# member set or a Möbius value changes the bytes
+LATTICE_REPORT_SHA256 = {
+    None: "3740a8b7702d75c8b260ab1b63efdfa817f718bddc01a734ce2257b81bcf83b2",
+    2**31 - 1: "c02375f9560228c5ec50cdbb308ba9f9bf4fe09bd1e00a18e124fb3a22369b52",
+}
+
+
+@pytest.mark.parametrize("p", sorted(LATTICE_REPORT_SHA256, key=bool))
+def test_lattice_report_bytes_are_pinned(tmp_path, capsys, p):
+    covectors = list(weyl_b(5).hyperplanes)
+    random.Random(13).shuffle(covectors)
+    if p is None:
+        arr = make_arrangement(QQ, 5, covectors)
+    else:
+        arr = make_arrangement(PrimeField(p), 5, [[int(x) % p for x in c] for c in covectors])
+    path, out = tmp_path / "b5.json", tmp_path / "b5.lattice.json"
+    save_json(str(path), arrangement_to_json(arr))
+    assert run(["lattice", str(path), "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LATTICE_REPORT_SHA256[p]
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "level sizes: [1, 25, 170, 330, 121, 1]", "flats: 648"]
 
 
 ER_FLAG_TOP = {"members": [], "charpoly": [0, 0, 0, 0, 1]}

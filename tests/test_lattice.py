@@ -24,7 +24,7 @@ from divflag.catalog import (
     edelman_reiner_restriction,
     weyl_b,
 )
-from divflag.exactalg import QQ, PrimeField, int_elimination
+from divflag.exactalg import QQ, PrimeField, int_elimination, int_rref
 from divflag.lattice import (
     BadPrimeError,
     EmptyArrangementError,
@@ -154,7 +154,7 @@ def _catalog_arrangements():
 @pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
 def test_build_matches_reference_catalog(name, arr):
     _assert_matches_reference(arr)
-    for cap in (1, 2):
+    for cap in range(1, arr.dim + 1):
         _assert_matches_reference(arr, max_codim=cap)
     for h in range(len(arr)):
         _assert_matches_reference(restrict_to_hyperplane(arr, h).arrangement)
@@ -170,7 +170,7 @@ def test_build_matches_reference_random(p):
         for _ in range(17):
             arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
             _assert_matches_reference(arr)
-            _assert_matches_reference(arr, max_codim=rng.randint(1, 2))
+            _assert_matches_reference(arr, max_codim=rng.randint(1, dim))
 
 
 # (1, 0) and (1, MODULUS) are distinct lines that coincide mod the prime
@@ -208,6 +208,38 @@ def test_build_matches_reference_wide_coefficients():
             sides.add(_hadamard_bound_sq(ints, min(dim, len(ints))) < MODULUS * MODULUS)
             _assert_matches_reference(arr)
     assert sides == {True, False}
+
+
+def _assert_covers_partition_non_members(arr):
+    """The covers X of each flat Y partition its non-members: the sets
+    members(X) − members(Y) are disjoint and their union is every h ∉ Y."""
+    lat = build_lattice(arr)
+    everything = (1 << len(arr)) - 1
+    for level, flats in enumerate(lat.levels):
+        for index in range(len(flats)):
+            base = lat.mask(level, index)
+            union = 0
+            for k in lat.covers[level][index]:
+                added = lat.mask(level + 1, k) & ~base
+                assert added and not added & union
+                union |= added
+            assert union == everything & ~base
+
+
+@pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
+def test_covers_partition_non_members_catalog(name, arr):
+    _assert_covers_partition_non_members(arr)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_covers_partition_non_members_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(307 if p is None else 307 + p)
+    for dim in range(2, 6):
+        available = 12 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(10):
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 10)), field=field)
+            _assert_covers_partition_non_members(arr)
 
 
 def _assert_residuals_group_covers(arr):
@@ -253,11 +285,22 @@ def test_residual_classes_are_cover_classes_random(p):
             _assert_residuals_group_covers(arr)
 
 
-def test_build_makes_one_insert_per_cover_class(monkeypatch):
-    """On Weyl B4 the build makes one residual per pair (Y, h > max Y) and
-    one insert per cover X of Y whose class meets (max Y, n)."""
+def _lead(r):
+    return next(c for c, x in enumerate(r) if x)
+
+
+def _lowest(bits):
+    return (bits & -bits).bit_length() - 1
+
+
+def test_build_makes_one_insert_per_flat(monkeypatch):
+    """On Weyl B4 the build makes one insert per flat other than V, one
+    residual per hyperplane at V, and one one-row reduction per distinct pair
+    of a level: a new flat X of codimension below dim - 1 takes its
+    partition from the first flat Y of the level above that it covers,
+    reducing each other class r' of Y that is nonzero at the lead of X's
+    class r by r.  A line's one class needs no reduction."""
     arr = weyl_b(4)
-    n = len(arr)
     calls = {"residual_int": 0, "insert_int": 0}
     for name in calls:
         def counted(*args, _fn=getattr(exactalg, name), _name=name):
@@ -266,15 +309,26 @@ def test_build_makes_one_insert_per_cover_class(monkeypatch):
         monkeypatch.setattr(exactalg, name, counted)
     lat = build_lattice(arr)
     monkeypatch.undo()
-    pairs = classes = 0
-    for level, flats in enumerate(lat.levels[:-1]):
-        for index, flat in enumerate(flats):
-            start = max(flat.members, default=-1) + 1
-            pairs += n - start
-            classes += sum(1 for k in lat.covers[level][index]
-                           if lat.mask(level + 1, k) >> start)
-    assert calls == {"residual_int": pairs, "insert_int": classes}
-    assert (pairs, classes) == (419, 249)
+    to_int, residual, _ = int_elimination(arr.field)
+    covectors = [to_int(cov) for cov in arr.hyperplanes]
+    reductions = 0
+    for level in range(1, arr.dim - 1):
+        pairs = set()
+        for index in range(len(lat.levels[level])):
+            parent = next(y for y, ks in enumerate(lat.covers[level - 1]) if index in ks)
+            base = lat.mask(level - 1, parent)
+            members = lat.levels[level - 1][parent].members
+            rows, pivots = int_rref(arr.field, [covectors[h] for h in members])
+            classes = [lat.mask(level, k) & ~base for k in lat.covers[level - 1][parent]]
+            r = residual(rows, pivots, covectors[_lowest(lat.mask(level, index) & ~base)])
+            for bits in classes:
+                other = residual(rows, pivots, covectors[_lowest(bits)])
+                if other != r and other[_lead(r)]:
+                    pairs.add((r, other))
+        reductions += len(pairs)
+    flats = sum(lat.level_sizes())
+    assert calls == {"residual_int": len(arr) + reductions, "insert_int": flats - 1}
+    assert (len(arr), reductions, flats - 1) == (16, 164, 115)
 
 
 def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
