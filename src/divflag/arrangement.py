@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactalg import Field, int_elimination, int_rref, normalize_covector
+from .exactalg import Field, FieldError, int_elimination, int_rref, normalize_covector
 
 
 class ArrangementError(ValueError):
-    """Malformed arrangement input: zero, duplicate, or mismatched covectors."""
+    """Malformed arrangement input: zero, duplicate, or mismatched covectors,
+    or an entry that is not a scalar of the field."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ def make_arrangement(field: Field, dim: int, covectors: Iterable[Sequence]) -> A
             raise ArrangementError(f"covector {i} has length {len(row)}, expected {dim}")
         try:
             cov = normalize_covector(field, row)
+        except FieldError as exc:
+            raise ArrangementError(f"covector {i}: {exc}") from None
         except ValueError:
             raise ArrangementError(f"covector {i} is zero") from None
         if cov in seen:

@@ -68,10 +68,10 @@ class Rationals:
     one = Fraction(1)
 
     def coerce(self, x) -> Fraction:
+        if type(x) is int:  # excludes bool: JSON true and false are not scalars
+            return Fraction(x)
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
         if isinstance(x, str):
             try:
                 return Fraction(x)
@@ -126,10 +126,13 @@ class PrimeField:
         self.one = 1 % p
 
     def coerce(self, x) -> int:
-        if isinstance(x, int):
+        if type(x) is int:  # excludes bool
             return x % self.p
         if isinstance(x, str):
-            return int(x) % self.p
+            try:
+                return int(x) % self.p
+            except ValueError:
+                pass
         raise FieldError(f"cannot interpret {x!r} as an element of F_{self.p}")
 
     def add(self, a: int, b: int) -> int:

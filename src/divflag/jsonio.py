@@ -4,11 +4,20 @@ Arrangement schema: ``{"field": "Q" | {"Fp": p}, "dim": n,
 "hyperplanes": [[...], ...]}`` with rational entries as ints or "a/b"
 strings and prime-field entries as residues.  Polynomials are integer
 coefficient arrays, lowest degree first.
+
+Output format: every file ``save_json`` writes is the text of
+``json.dump(data, fh, indent=2, sort_keys=True)`` plus a newline: 2-space
+indent, keys sorted, ASCII only (other characters as ``\\u`` escapes), and a
+trailing newline.  ``save_json`` is this module's own encoder, not
+``json.dump``, whose indenting encoder is pure Python and about twice as
+slow; ``tests/test_jsonio.py`` holds it to ``json.dumps`` byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, flat_from_members, make_arrangement
@@ -62,9 +71,80 @@ def load_arrangement(path: str) -> Arrangement:
         return arrangement_from_json(json.load(fh))
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INT_ONLY = frozenset((int,))
+
+
+class _KeyPrefixes(dict):
+    """Each dict key's encoded ``"key": ``, made on first use."""
+
+    def __missing__(self, key) -> str:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        head = self[key] = encode_basestring_ascii(key) + ": "
+        return head
+
+
 def save_json(path: str, data) -> None:
+    """Write ``data`` to ``path`` in the output format of the module docstring.
+
+    The top-level container and the containers directly inside it go out one
+    item per write, so a large report is never held as one string.  Leaves
+    other than str, int, bool and None, such as floats with nan and inf, are
+    encoded by ``json.dumps``; a dict key that is not a str raises
+    ``TypeError``.
+    """
+    prefix = _KeyPrefixes()
+
+    def encode(value, nl: str) -> str:
+        """``value`` as one string; ``nl`` is the newline and indent of its
+        closing bracket."""
+        kind = type(value)
+        if kind is int:
+            return int.__repr__(value)
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None or kind is bool:
+            return _CONSTANTS[value]
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = nl + "  "
+            body = [prefix[key] + (int.__repr__(x) if type(x) is int else encode(x, inner))
+                    for key, x in sorted(value.items())]
+            return f"{{{inner}{(',' + inner).join(body)}{nl}}}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = nl + "  "
+            if _INT_ONLY.issuperset(map(type, value)):  # type(x) is int: a bool is not
+                body = map(int.__repr__, value)
+            else:
+                body = [encode(x, inner) for x in value]
+            return f"[{inner}{(',' + inner).join(body)}{nl}]"
+        return json.dumps(value)
+
+    def write(value, nl: str, levels: int) -> None:
+        """Write ``value``, streaming its outer ``levels`` container levels."""
+        if not (levels and isinstance(value, (list, tuple, dict)) and value):
+            fh.write(encode(value, nl))
+            return
+        inner = nl + "  "
+        if isinstance(value, dict):
+            fh.write("{")
+            items = [(prefix[key], x) for key, x in sorted(value.items())]
+        else:
+            fh.write("[")
+            items = zip(repeat(""), value)
+        sep = inner
+        for head, item in items:
+            fh.write(sep + head)
+            write(item, inner, levels - 1)
+            sep = "," + inner
+        fh.write(nl + ("}" if isinstance(value, dict) else "]"))
+
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        write(data, "\n", 2)
         fh.write("\n")
 
 

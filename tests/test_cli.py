@@ -442,6 +442,46 @@ def test_malformed_input_is_input_error(tmp_path, capsys, arrangement, certifica
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,entry,shown", [
+    ("Q", 1.5, "1.5"),
+    ("Q", "1/0", "'1/0'"),
+    ("Q", "x", "'x'"),
+    ("Q", float("nan"), "nan"),
+    ("Q", True, "True"),
+    ({"Fp": 2}, 1.0, "1.0"),
+    ({"Fp": 2}, "1/2", "'1/2'"),
+    ({"Fp": 2}, True, "True"),
+])
+def test_bad_covector_entry_is_named(tmp_path, capsys, field, entry, shown):
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps({"field": field, "dim": 2, "hyperplanes": [[0, 1], [entry, 1]]}))
+    capsys.readouterr()
+    assert run(["lattice", str(arr_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad 'hyperplanes' entry: covector 1: cannot interpret {shown} ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_zero_covector_is_named(tmp_path, capsys):
+    arr_path = tmp_path / "arr.json"
+    arr_path.write_text(json.dumps({"field": "Q", "dim": 2, "hyperplanes": [[0, 1], [0, "0/3"]]}))
+    capsys.readouterr()
+    assert run(["lattice", str(arr_path)]) == 1
+    assert capsys.readouterr().err == "error: bad 'hyperplanes' entry: covector 1 is zero\n"
+
+
+def test_if_certificate_bool_covector_is_input_error(tmp_path, capsys):
+    arr_path, cert_path = tmp_path / "wb3.json", tmp_path / "cert.json"
+    assert run(["catalog", "weyl-b", "--l", "3", "--emit", str(arr_path)]) == 0
+    assert run(["if-check", str(arr_path), "--certificate", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    covector = cert["steps"][0]["covector"]
+    covector[covector.index(1)] = True
+    capsys.readouterr()
+    assert _verify_exit(tmp_path, arr_path, cert) == 1
+    assert "cannot interpret True" in capsys.readouterr().err
+
+
 def _python_m(module, *argv):
     src = os.path.dirname(os.path.dirname(divflag.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

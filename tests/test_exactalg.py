@@ -403,3 +403,15 @@ def test_prime_field_arithmetic():
     assert f5.add(3, 4) == 2
     assert f5.inv(2) == 3
     assert f5.coerce(-1) == 4
+
+
+# JSON true and false are Python bools, which count as ints; "1/2" is a
+# rational but not a residue
+@pytest.mark.parametrize("field,x", [
+    *((field, x) for field in (QQ, PrimeField(5))
+      for x in (True, False, 1.0, float("nan"), "x", "1/0", None)),
+    (PrimeField(5), "1/2"),
+])
+def test_coerce_rejects_non_scalars(field, x):
+    with pytest.raises(FieldError, match="cannot interpret"):
+        field.coerce(x)
