@@ -1,7 +1,9 @@
 """Central hyperplane arrangements and their basic constructions.
 
 An arrangement is an ambient dimension plus a duplicate-free list of
-normalized covectors over one field.  A flat is its closed member set, the
+normalized covectors over one field, each in the canonical int form of
+``exactalg``'s elimination: primitive integers with a positive lead over Q,
+residues with lead 1 over F_p.  A flat is its closed member set, the
 maximal set of hyperplane indices containing it, which makes flat identity
 a tuple comparison; whatever needs its coordinates reduces the members'
 covectors with ``int_rref``.
@@ -28,9 +30,6 @@ class Arrangement:
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
-
-    def covector(self, h: int) -> tuple:
-        return self.hyperplanes[h]
 
 
 def make_arrangement(field: Field, dim: int, covectors: Iterable[Sequence]) -> Arrangement:
@@ -76,10 +75,8 @@ def hyperplane_flat(arr: Arrangement, h: int) -> Flat:
 
 
 def _reduced_rows(arr: Arrangement, members: Iterable[int]):
-    """``int_rref`` of the members' covectors in the int form of
-    ``int_elimination``: (rows, pivots)."""
-    to_int = int_elimination(arr.field)[0]
-    return int_rref(arr.field, [to_int(arr.hyperplanes[h]) for h in members])
+    """``int_rref`` of the members' covectors: (rows, pivots)."""
+    return int_rref(arr.field, [arr.hyperplanes[h] for h in members])
 
 
 def flat_from_members(arr: Arrangement, members: Iterable[int]) -> Flat:
@@ -90,9 +87,9 @@ def flat_from_members(arr: Arrangement, members: Iterable[int]) -> Flat:
         if not 0 <= h < len(arr):
             raise IndexError(f"hyperplane index {h} out of range")
     rows, pivots = _reduced_rows(arr, idx)
-    to_int, residual, _ = int_elimination(arr.field)
+    residual = int_elimination(arr.field)[0]
     members = tuple(h for h, cov in enumerate(arr.hyperplanes)
-                    if residual(rows, pivots, to_int(cov)) is None)
+                    if residual(rows, pivots, cov) is None)
     return Flat(arr, len(rows), members)
 
 
@@ -121,9 +118,10 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     coordinate basis of the flat comes from the free columns of the
     members' reduced rows (``int_rref``), so restrictions are reproducible
     bit for bit: a covector restricts to its residual modulo those rows,
-    read at the free columns.  Two hyperplanes have the same trace exactly
-    when their residuals are equal, so only the first of each class is
-    normalized.
+    read at the free columns.  A residual is canonical and zero at the
+    pivot columns, so it stays canonical when read at the free columns, and
+    two hyperplanes have the same trace exactly when their residuals are
+    equal.
     """
     _check_flat(arr, flat)
     new_dim = arr.dim - flat.codim
@@ -133,7 +131,7 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     if len(pivots) != flat.codim:
         raise ValueError(f"a flat of codimension {flat.codim} has members of rank {len(pivots)}")
     field = arr.field
-    to_int, residual, _ = int_elimination(field)
+    residual = int_elimination(field)[0]
     free = [c for c in range(arr.dim) if c not in pivots]
     member_set = set(flat.members)
     classes: dict[tuple, int] = {}  # residual -> index of its restricted hyperplane
@@ -142,13 +140,13 @@ def restriction(arr: Arrangement, flat: Flat) -> Restriction:
     for h, cov in enumerate(arr.hyperplanes):
         if h in member_set:
             continue
-        r = residual(rows, pivots, to_int(cov))
+        r = residual(rows, pivots, cov)
         if r is None:
             raise ValueError(f"hyperplane {h} contains the flat but is not one of its members")
         j = classes.get(r)
         if j is None:
             classes[r] = len(covs)
-            covs.append(normalize_covector(field, [r[c] for c in free]))
+            covs.append(tuple([r[c] for c in free]))
             trace.append([h])
         else:
             trace[j].append(h)
@@ -216,7 +214,7 @@ def essentialize(arr: Arrangement) -> Arrangement:
 
 def add_hyperplane(arr: Arrangement, covector: Sequence) -> Arrangement:
     """Arrangement with one more hyperplane appended (index len(arr))."""
-    norm = normalize_covector(arr.field, [arr.field.coerce(x) for x in covector])
+    norm = normalize_covector(arr.field, covector)
     if norm in set(arr.hyperplanes):
         raise ArrangementError("hyperplane already present")
     return Arrangement(arr.field, arr.dim, arr.hyperplanes + (norm,))

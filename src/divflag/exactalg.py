@@ -1,24 +1,25 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Scalars are plain values: ``fractions.Fraction`` over Q (always in lowest
-terms with positive denominator), canonical residues in ``[0, p)`` over F_p.
-Field objects supply the scalar arithmetic.  The one elimination is in
-plain int arithmetic: a canonical residual and its insertion into reduced
-rows, on residues over F_p and fraction-free over Q (``int_elimination``,
-``int_rref``); everything is immutable and deterministic.
+Scalars are plain values: over Q ints and ``fractions.Fraction`` (in lowest
+terms with positive denominator), over F_p canonical residues in
+``[0, p)``.  Field objects supply the scalar arithmetic.  The one
+elimination is in plain int arithmetic: a canonical residual and its
+insertion into reduced rows, on residues over F_p and fraction-free over Q
+(``int_elimination``, ``int_rref``).  A covector is stored as its own
+canonical residual (``normalize_covector``): primitive integers with a
+positive lead over Q, residues with lead 1 over F_p; it takes the lead-1
+form, with "a/b" entries over Q, only as JSON (``covector_to_json``).
+Everything is immutable and deterministic.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-# PEP 604 unions: typing.Union would keep the classes in typing's cache, and
-# with them this module, after the package is dropped and imported afresh
-Scalar = Fraction | int
 
 
 class FieldError(ValueError):
@@ -60,6 +61,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the scalar spellings of JSON strings, in ASCII digits only: int() and
+# Fraction() also take spaces, underscores, decimals, exponents and non-ASCII
+# digits
+_INTEGER = re.compile("-?[0-9]+")
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 class Rationals:
     """The field Q.  A single shared instance is exposed as ``QQ``."""
 
@@ -67,16 +75,16 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def coerce(self, x) -> Fraction:
-        if type(x) is int:  # excludes bool: JSON true and false are not scalars
-            return Fraction(x)
-        if isinstance(x, Fraction):
+    def coerce(self, x) -> int | Fraction:
+        """An int or a ``Fraction`` as it is, or a string "n" or "n/d" in
+        ASCII digits with d nonzero."""
+        if type(x) is int or isinstance(x, Fraction):  # bool: JSON true is not a scalar
             return x
-        if isinstance(x, str):
+        if isinstance(x, str) and _RATIONAL.fullmatch(x):
             try:
                 return Fraction(x)
-            except (ValueError, ZeroDivisionError):
-                raise FieldError(f"cannot interpret {x!r} as a rational") from None
+            except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or d = 0
+                pass
         raise FieldError(f"cannot interpret {x!r} as a rational")
 
     @staticmethod
@@ -95,10 +103,10 @@ class Rationals:
     def neg(a: Fraction) -> Fraction:
         return -a
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: int | Fraction) -> Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / a
+        return self.one / a
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
@@ -128,10 +136,10 @@ class PrimeField:
     def coerce(self, x) -> int:
         if type(x) is int:  # excludes bool
             return x % self.p
-        if isinstance(x, str):
+        if isinstance(x, str) and _INTEGER.fullmatch(x):
             try:
                 return int(x) % self.p
-            except ValueError:
+            except ValueError:  # past int()'s digit limit
                 pass
         raise FieldError(f"cannot interpret {x!r} as an element of F_{self.p}")
 
@@ -162,6 +170,8 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+# a PEP 604 union: typing.Union would keep the classes in typing's cache, and
+# with them this module, after the package is dropped and imported afresh
 Field = Rationals | PrimeField
 
 
@@ -179,31 +189,30 @@ def field_from_json(data) -> Field:
     raise FieldError(f"unrecognized field spec {data!r}")
 
 
-def integer_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """A rational row times the lcm of its denominators: primitive when the
-    row has a unit entry, as a normalized covector does."""
+def integer_row(row: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """A rational row times the lcm of its denominators."""
     den = lcm(*[x.denominator for x in row])
     return tuple([x.numerator * (den // x.denominator) for x in row])
 
 
 def int_elimination(field: Field):
-    """The plain-int elimination of the field: (the int form of a row of
-    scalars, ``residual``, ``insert``).  Over Q the rows are fraction-free
-    (``residual_int``, ``insert_int``), over F_p residues in rref
-    (``residual_mod``, ``insert_mod``, with lead inverses memoized for the
-    life of the returned functions); either row set is unique for its row
-    space.  ``residual(rows, pivots, v)`` is the canonical residual of v, or
-    ``None`` when v lies in the row space; ``insert(rows, pivots, r)`` adds a
-    residual to the rows."""
+    """The plain-int elimination of the field: (``residual``, ``insert``).
+    Over Q the rows are fraction-free (``residual_int``, ``insert_int``),
+    over F_p residues in rref (``residual_mod``, ``insert_mod``, with lead
+    inverses memoized for the life of the returned functions); either row
+    set is unique for its row space.  ``residual(rows, pivots, v)`` is the
+    canonical residual of an int row v (normalized covectors are int rows),
+    or ``None`` when v lies in the row space; ``insert(rows, pivots, r)``
+    adds a residual to the rows."""
     if field.kind == "Q":
-        return integer_row, residual_int, insert_int
-    return tuple, partial(residual_mod, field.p, {}), partial(insert_mod, field.p)
+        return residual_int, insert_int
+    return partial(residual_mod, field.p, {}), partial(insert_mod, field.p)
 
 
 def int_rref(field: Field, rows: Iterable[Sequence[int]]):
-    """The reduced rows of rows already in the int form of
-    ``int_elimination``, inserted one at a time; returns (rows, pivots)."""
-    _, residual, insert = int_elimination(field)
+    """The reduced rows of int rows, inserted one at a time by the field's
+    ``int_elimination``; returns (rows, pivots)."""
+    residual, insert = int_elimination(field)
     reduced, pivots = (), ()
     for row in rows:
         r = residual(reduced, pivots, row)
@@ -317,25 +326,25 @@ def insert_int(rows, pivots, r):
     return tuple(new_rows), pivots[:k] + (lead,) + pivots[k:]
 
 
-def normalize_covector(field: Field, v: Sequence) -> tuple[Scalar, ...]:
-    """Scale so the first nonzero entry is 1; canonical per proportionality class."""
-    w = [field.coerce(x) for x in v]
-    lead = None
-    for x in w:
-        if x != field.zero:
-            lead = x
-            break
-    if lead is None:
+def normalize_covector(field: Field, v: Sequence) -> tuple[int, ...]:
+    """The canonical form of a covector, the same for every nonzero multiple:
+    its residual modulo no rows, so primitive integers with a positive lead
+    over Q and residues with lead 1 over F_p.  ``integer_row`` clears the
+    denominators over Q and leaves residues as they are."""
+    residual = int_elimination(field)[0]
+    r = residual((), (), integer_row([field.coerce(x) for x in v]))
+    if r is None:
         raise ValueError("cannot normalize the zero covector")
-    if lead == field.one:
-        return tuple(w)
-    scale = field.inv(lead)
-    return tuple(field.mul(scale, x) for x in w)
+    return r
 
 
-def scalar_to_json(field: Field, x):
-    if field.kind == "Q":
-        if x.denominator == 1:
-            return int(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return int(x)
+def covector_to_json(cov: Sequence[int]) -> list:
+    """A normalized covector scaled to lead 1, as JSON: ints, and "a/b"
+    strings for the entries that are not integers.  Over F_p the lead is
+    already 1 and the entries are written as they are."""
+    lead = next(x for x in cov if x)
+    out = []
+    for x in cov:
+        g = gcd(x, lead)
+        out.append(x // g if g == lead else f"{x // g}/{lead // g}")
+    return out

@@ -356,7 +356,7 @@ def rank3_triple_conditions(arr: Arrangement, h: int, d1: int, d2: int) -> Rank3
 
 
 def rank3_division_remainder(arr: Arrangement, h: int) -> int:
-    """Scalar remainder of dividing chi0 by the restriction's chi0 at rank
+    """The remainder of dividing chi0 by the restriction's chi0 at rank
     3: chi0 of the essential arrangement evaluated at |A^H| - 1.
     Nonnegative; zero certifies freeness."""
     lattice, atom = _rank3_lattice(arr, h, "rank-3 remainder needs a rank-3 arrangement")

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, flat_from_members, make_arrangement
-from .exactalg import field_from_json, field_to_json, scalar_to_json
+from .exactalg import covector_to_json, field_from_json, field_to_json, normalize_covector
 from .freeness import DivisionalFlag, IFCertificate, IFStep
 
 
@@ -38,9 +38,7 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     return {
         "field": field_to_json(arr.field),
         "dim": arr.dim,
-        "hyperplanes": [
-            [scalar_to_json(arr.field, x) for x in cov] for cov in arr.hyperplanes
-        ],
+        "hyperplanes": [covector_to_json(cov) for cov in arr.hyperplanes],
     }
 
 
@@ -207,7 +205,8 @@ def if_certificate_to_json(cert: IFCertificate) -> dict:
         "dim": cert.dim,
         "steps": [
             {
-                "covector": [scalar_to_json(cert.field, x) for x in step.covector],
+                # a step read from a file holds the covector as written
+                "covector": covector_to_json(normalize_covector(cert.field, step.covector)),
                 "restriction_charpoly": poly_to_json(step.restriction_chi),
             }
             for step in cert.steps

@@ -23,7 +23,7 @@ from math import lcm
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, make_arrangement, ArrangementError
-from .exactalg import QQ, int_elimination, integer_row
+from .exactalg import QQ, int_elimination
 
 
 class EmptyArrangementError(ValueError):
@@ -188,10 +188,11 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     """
     field = arr.field
     limit = arr.dim if max_codim is None else min(max_codim, arr.dim)
-    to_int, residual, insert = int_elimination(field)
+    residual, insert = int_elimination(field)
 
-    # residual -> the bits of its class; at V every hyperplane is a class
-    partition = {residual((), (), to_int(cov)): 1 << h for h, cov in enumerate(arr.hyperplanes)}
+    # residual -> the bits of its class; at V every hyperplane is a class,
+    # and a normalized covector is its own residual modulo no rows
+    partition = {cov: 1 << h for h, cov in enumerate(arr.hyperplanes)}
     masks, mobius = [(0,)], [(1,)]
     # the flats of the last level: [rows, pivots, member mask, μ, partition]
     frontier = [[(), (), 0, 1, partition]]
@@ -352,15 +353,14 @@ def whitney_oracle(arr: Arrangement) -> intpoly.IntPoly:
     n = len(arr)
     if n > WHITNEY_CAP:
         raise ValueError(f"whitney oracle capped at {WHITNEY_CAP} hyperplanes, got {n}")
-    to_int, residual, insert = int_elimination(arr.field)
-    covectors = [to_int(cov) for cov in arr.hyperplanes]
+    residual, insert = int_elimination(arr.field)
     coeffs = [0] * (arr.dim + 1)
 
     def visit(start, rows, pivots, sign):
         # the subsets that extend the current one by hyperplanes from start on
         coeffs[arr.dim - len(pivots)] += sign
         for h in range(start, n):
-            r = residual(rows, pivots, covectors[h])
+            r = residual(rows, pivots, arr.hyperplanes[h])
             if r is None:
                 visit(h + 1, rows, pivots, -sign)
             else:
@@ -368,13 +368,6 @@ def whitney_oracle(arr: Arrangement) -> intpoly.IntPoly:
 
     visit(0, (), (), 1)
     return intpoly.poly(coeffs)
-
-
-def integer_covectors(arr: Arrangement) -> list[tuple[int, ...]]:
-    """Primitive integer representatives of the hyperplanes (Q only)."""
-    if arr.field != QQ:
-        raise ValueError("integer covectors only make sense over Q")
-    return [integer_row(cov) for cov in arr.hyperplanes]
 
 
 def point_count_oracle(arr: Arrangement, q: int) -> int:
@@ -388,10 +381,11 @@ def point_count_oracle(arr: Arrangement, q: int) -> int:
 
     if not is_prime(q):
         raise BadPrimeError(f"{q} is not prime")
-    covs = integer_covectors(arr)
+    if arr.field != QQ:
+        raise ValueError("the point count oracle reduces arrangements over Q")
     fq = PrimeField(q)
     reduced = []
-    for i, cov in enumerate(covs):
+    for i, cov in enumerate(arr.hyperplanes):
         row = tuple(c % q for c in cov)
         if all(x == 0 for x in row):
             raise BadPrimeError(f"hyperplane {i} vanishes modulo {q}")

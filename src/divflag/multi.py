@@ -22,7 +22,6 @@ from math import comb, lcm
 from . import intpoly
 from .arrangement import (
     Arrangement,
-    essentialize,
     flat_from_members,
     localization,
     rank_of,
@@ -89,15 +88,12 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiArrangement:
 
 def _two_coordinates(arr: Arrangement) -> list[tuple[int, int]]:
     """The lines of a rank-2 arrangement as integer pairs (a, b): each
-    covector in the int form of ``int_elimination``, read at the two pivots
-    of the rref."""
-    to_int = int_elimination(arr.field)[0]
-    covs = [to_int(cov) for cov in arr.hyperplanes]
-    _, pivots = int_rref(arr.field, covs)
+    covector read at the two pivots of the rref."""
+    _, pivots = int_rref(arr.field, arr.hyperplanes)
     if len(pivots) != 2:
         raise ValueError(f"expected a rank-2 arrangement, got rank {len(pivots)}")
     p0, p1 = pivots
-    return [(cov[p0], cov[p1]) for cov in covs]
+    return [(cov[p0], cov[p1]) for cov in arr.hyperplanes]
 
 
 def _modulus(field: Field) -> int:
@@ -253,7 +249,7 @@ def _independent_second(field: Field, theta1, d1, kernel, d):
     multiples x^(d-d1-k) y^k * theta1."""
     shifts = [_shift_theta(theta1, d1, d, off) for off in range(d - d1 + 1)]
     rows, pivots = int_rref(field, shifts)
-    residual = int_elimination(field)[1]
+    residual = int_elimination(field)[0]
     for vec in kernel:
         if residual(rows, pivots, vec) is not None:
             return vec
@@ -383,23 +379,23 @@ def free3_decide(arr: Arrangement) -> Rank3FreenessReport:
     The Ziegler restriction onto any hyperplane is a rank-2
     multiarrangement, hence free; freeness of the arrangement is then
     equivalent to the vanishing of the b2 gap at that hyperplane, and the
-    exponents are 1 together with the Ziegler exponents.
+    exponents are 1 together with the Ziegler exponents.  The Ziegler
+    restriction has one rank-2 flat, its centre, so its b2 is the product
+    of its exponents.
     """
     if len(arr) == 0:
         raise ValueError("freeness decision needs a nonempty arrangement")
     if rank_of(arr) != 3:
         raise ValueError(f"expected a rank-3 arrangement, got rank {rank_of(arr)}")
-    ess = essentialize(arr)
     witness = 0
-    ziegler = ziegler_restriction(ess, witness)
-    b2z = b2_multi(ziegler)
-    b2d = char_data(ess).b2_dec
+    d1, d2 = exp2(ziegler_restriction(arr, witness))
+    b2z = d1 * d2
+    b2d = char_data(arr).b2_dec
     gap = b2d - b2z
     if gap < 0:
         raise AssertionError(f"b2 gap {gap} is negative")
     if gap != 0:
         return Rank3FreenessReport(False, None, witness, gap, b2d, b2z)
-    d1, d2 = exp2(ziegler)
     return Rank3FreenessReport(True, tuple(sorted((1, d1, d2))), witness, 0, b2d, b2z)
 
 

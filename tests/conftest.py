@@ -5,6 +5,7 @@ the integer eliminations are checked against."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from divflag.arrangement import Arrangement, make_arrangement
 from divflag.exactalg import QQ, Field, normalize_covector
@@ -37,7 +38,14 @@ def random_arrangement(rng: random.Random, dim: int, n: int, field=QQ,
         if all(x == field.zero for x in raw):
             continue
         covs.add(normalize_covector(field, raw))
-    return make_arrangement(field, dim, sorted(covs))
+    return make_arrangement(field, dim, sorted(covs, key=_lead_one))
+
+
+def _lead_one(cov):
+    """A normalized covector scaled to lead 1: the order of the hyperplanes
+    of ``random_arrangement``, over Q and F_p alike."""
+    lead = next(x for x in cov if x)
+    return tuple(Fraction(x, lead) for x in cov)
 
 
 def random_rank2_multi(rng: random.Random, field=QQ, max_lines: int = 5,
@@ -54,7 +62,7 @@ def reduce_against(field: Field, rows, pivots, vector):
     """Residual of ``vector`` after elimination by an rref row set."""
     zero = field.zero
     sub, mul = field.sub, field.mul
-    v = list(vector)
+    v = [field.coerce(x) for x in vector]
     for row, c in zip(rows, pivots):
         factor = v[c]
         if factor != zero:

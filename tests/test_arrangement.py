@@ -173,6 +173,25 @@ def test_restriction_matches_kernel_projection_random(p):
             _assert_restrictions_match_reference(arr)
 
 
+@pytest.mark.parametrize("p", [None, 2, 7])
+def test_restricted_covectors_are_normalized(p):
+    """A restriction reads each class's canonical residual at the free
+    columns, which is already canonical: every covector of every
+    restriction equals its own ``normalize_covector``."""
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(307 if p is None else 307 + p)
+    for dim in range(2, 6):
+        available = 9 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(6):
+            bound = rng.choice([2, 5, 10**4])
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field,
+                                     coeff_lo=-bound, coeff_hi=bound)
+            for flat in build_lattice(arr).flats():
+                if flat.codim < dim:
+                    for cov in restriction(arr, flat).arrangement.hyperplanes:
+                        assert normalize_covector(field, cov) == cov
+
+
 def test_restriction_rejects_a_flat_missing_a_member():
     # a codimension that is not the members' rank, or a member left out of
     # a flat whose members span it (braid(3)'s third hyperplane contains

@@ -17,11 +17,14 @@ from divflag.cli import build_parser, run
 from divflag.jsonio import (
     arrangement_from_json,
     arrangement_to_json,
+    if_certificate_from_json,
+    if_certificate_to_json,
     load_arrangement,
     save_json,
     verify_certificate,
 )
 from divflag.catalog import edelman_reiner_restriction, intermediate, weyl_b, xyzw_example
+from divflag.freeness import IF_CERTIFIED, inductively_free
 from divflag.lattice import char_data
 from divflag.exactalg import PrimeField, QQ
 from divflag.arrangement import make_arrangement
@@ -33,6 +36,28 @@ def test_arrangement_json_roundtrip():
     data = arrangement_to_json(arr)
     assert data["hyperplanes"][0] == [1, "1/2"]
     assert arrangement_from_json(data) == arr
+
+
+# Weyl B3 with x1 replaced by x1/2: covectors stored as primitive int rows
+# with non-unit leads, written to JSON scaled to lead 1
+B3_HALF = [[2, -1, 0], [2, 1, 0], [2, 0, -1], [2, 0, 1], [0, 1, -1], [0, 1, 1],
+           [2, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_json_writes_covectors_at_lead_one_and_reads_them_back():
+    arr = make_arrangement(QQ, 3, B3_HALF)
+    assert arr.hyperplanes[0] == (2, -1, 0) and arr.hyperplanes[6] == (1, 0, 0)
+    data = json.loads(json.dumps(arrangement_to_json(arr)))
+    assert data["hyperplanes"][:3] == [[1, "-1/2", 0], [1, "1/2", 0], [1, 0, "-1/2"]]
+    assert arrangement_from_json(data) == arr
+    result = inductively_free(arr)
+    assert result.status == IF_CERTIFIED
+    cert = json.loads(json.dumps(if_certificate_to_json(result.certificate)))
+    written = [step["covector"] for step in cert["steps"]]
+    assert sorted(map(json.dumps, written)) == sorted(map(json.dumps, data["hyperplanes"]))
+    assert sorted(make_arrangement(QQ, 3, written).hyperplanes) == sorted(arr.hyperplanes)
+    assert verify_certificate(arr, cert)
+    assert if_certificate_to_json(if_certificate_from_json(cert)) == cert
 
 
 def test_arrangement_json_prime_field():
@@ -451,6 +476,10 @@ def test_malformed_input_is_input_error(tmp_path, capsys, arrangement, certifica
     ({"Fp": 2}, 1.0, "1.0"),
     ({"Fp": 2}, "1/2", "'1/2'"),
     ({"Fp": 2}, True, "True"),
+    # int() and Fraction() read these, but they are not the documented
+    # ASCII spellings of JSON scalars
+    *(("Q", s, repr(s)) for s in ("1.5", "1e3", "1_0", " 3 ", "\u0663")),
+    *(({"Fp": 2}, s, repr(s)) for s in ("1.5", "1e3", "1_0", " 3 ", "\u0663")),
 ])
 def test_bad_covector_entry_is_named(tmp_path, capsys, field, entry, shown):
     arr_path = tmp_path / "arr.json"

@@ -175,8 +175,7 @@ def test_rank_plus_nullity_random():
             cols = rng.randint(1, 5)
             rows = [[field.coerce(rng.randint(-2, 2)) for _ in range(cols)]
                     for _ in range(rng.randint(1, 5))]
-            to_int = int_elimination(field)[0]
-            _, pivots = int_rref(field, [to_int(row) for row in rows])
+            _, pivots = int_rref(field, rows)
             basis = reference_kernel(field, rows, cols)
             assert len(pivots) + len(basis) == cols
             for v in basis:
@@ -188,8 +187,30 @@ def test_rank_plus_nullity_random():
 
 
 def test_normalize_rational():
-    assert normalize_covector(QQ, (2, -4, 6)) == (Fraction(1), Fraction(-2), Fraction(3))
-    assert normalize_covector(QQ, (0, 5, 5)) == (Fraction(0), Fraction(1), Fraction(1))
+    assert normalize_covector(QQ, (2, -4, 6)) == (1, -2, 3)
+    assert normalize_covector(QQ, (0, 5, 5)) == (0, 1, 1)
+    assert normalize_covector(QQ, (-2, 3, 0)) == (2, -3, 0)
+    assert normalize_covector(QQ, ("1/2", Fraction(-1, 3), "0")) == (3, -2, 0)
+
+
+def test_normalize_rational_is_the_primitive_int_row_of_every_multiple():
+    """Over Q a covector is stored as primitive ints with a positive lead,
+    whatever nonzero rational multiple (ints, ``Fraction``s or "a/b"
+    strings) it is given as."""
+    rng = random.Random(29)
+    for _ in range(200):
+        v = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+        if not any(v):
+            continue
+        norm = normalize_covector(QQ, v)
+        assert all(type(x) is int for x in norm)
+        assert next(x for x in norm if x) > 0 and gcd(*norm) == 1
+        i = next(j for j, x in enumerate(v) if x)
+        assert all(x * v[i] == y * norm[i] for x, y in zip(norm, v))  # proportional
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        scaled = [c * x for x in v]
+        assert normalize_covector(QQ, scaled) == norm
+        assert normalize_covector(QQ, [str(x) for x in scaled]) == norm
 
 
 def test_normalize_prime_field():
@@ -318,7 +339,7 @@ def test_residual_is_invariant_under_row_additions(p):
     canonical for the span of v modulo the rows, and vanishes on the pivot
     columns; over Q it is primitive with a positive lead, over F_p monic."""
     field = QQ if p is None else PrimeField(p)
-    to_int, residual, insert = int_elimination(field)
+    residual, insert = int_elimination(field)
     rng = random.Random(43 if p is None else 43 + p % 1000)
     nonzero = 0
     for _ in range(120):
@@ -327,10 +348,10 @@ def test_residual_is_invariant_under_row_additions(p):
         for _ in range(rng.randint(0, cols)):
             vec = _battery_vector(rng, added, cols)
             added.append(vec)
-            r = residual(rows, pivots, to_int([field.coerce(x) for x in vec]))
+            r = residual(rows, pivots, [field.coerce(x) for x in vec])
             if r is not None:
                 rows, pivots = insert(rows, pivots, r)
-        v = to_int([field.coerce(x) for x in _battery_vector(rng, added, cols)])
+        v = [field.coerce(x) for x in _battery_vector(rng, added, cols)]
         k = rng.choice([-3, -1, 1, 2, 10**9 + 7])  # a unit mod every p here
         w = [k * x for x in v]
         for row in rows:
@@ -367,7 +388,7 @@ def test_residual_and_insert_by_hand():
 
 def test_int_elimination_memoizes_inverses_per_call():
     field = PrimeField(2**31 - 1)
-    first, second = int_elimination(field)[1], int_elimination(field)[1]
+    first, second = int_elimination(field)[0], int_elimination(field)[0]
     assert first((), (), (2, 1)) == second((), (), (2, 1)) == (1, 2**30)
     assert first.args[1] == {2: 2**30} and first.args[1] is not second.args[1]
 
@@ -405,12 +426,29 @@ def test_prime_field_arithmetic():
     assert f5.coerce(-1) == 4
 
 
+def test_rational_inverse_is_exact():
+    for a, inverse in ((2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (Fraction(2, 3), Fraction(3, 2))):
+        assert QQ.inv(a) == inverse and type(QQ.inv(a)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_coerce_reads_the_documented_spellings():
+    assert QQ.coerce("-12") == -12 and QQ.coerce("3/6") == Fraction(1, 2)
+    assert QQ.coerce("-0/5") == 0 and QQ.coerce(7) == 7
+    assert PrimeField(5).coerce("-12") == 3
+
+
 # JSON true and false are Python bools, which count as ints; "1/2" is a
 # rational but not a residue
 @pytest.mark.parametrize("field,x", [
     *((field, x) for field in (QQ, PrimeField(5))
       for x in (True, False, 1.0, float("nan"), "x", "1/0", None)),
     (PrimeField(5), "1/2"),
+    # int() and Fraction() read these, but they are not the ASCII spellings
+    # -?[0-9]+ and -?[0-9]+/[0-9]+
+    *((field, x) for field in (QQ, PrimeField(5))
+      for x in ("1.5", "1e3", "1_0", " 3 ", "3\n", "+3", "1/-2", "\u0663", "")),
 ])
 def test_coerce_rejects_non_scalars(field, x):
     with pytest.raises(FieldError, match="cannot interpret"):

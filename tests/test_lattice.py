@@ -24,13 +24,12 @@ from divflag.catalog import (
     edelman_reiner_restriction,
     weyl_b,
 )
-from divflag.exactalg import QQ, PrimeField, int_elimination, int_rref
+from divflag.exactalg import QQ, PrimeField, int_elimination, int_rref, integer_row
 from divflag.lattice import (
     BadPrimeError,
     EmptyArrangementError,
     build_lattice,
     char_data,
-    integer_covectors,
     point_count_oracle,
     rank2_flats,
     whitney_oracle,
@@ -204,7 +203,7 @@ def test_build_matches_reference_wide_coefficients():
             bound = 10 ** rng.randint(1, 6)
             arr = random_arrangement(rng, dim, rng.randint(dim, dim + 4),
                                      coeff_lo=-bound, coeff_hi=bound)
-            ints = integer_covectors(arr)
+            ints = arr.hyperplanes
             sides.add(_hadamard_bound_sq(ints, min(dim, len(ints))) < MODULUS * MODULUS)
             _assert_matches_reference(arr)
     assert sides == {True, False}
@@ -247,17 +246,16 @@ def _assert_residuals_group_covers(arr):
     gives the same classes as grouping them by the rref of Y ∧ H_h, and the
     classes are the parts above max(Y) of the cover classes of Y."""
     field, n = arr.field, len(arr)
-    to_int, residual, _ = int_elimination(field)
-    covectors = [to_int(cov) for cov in arr.hyperplanes]
+    residual = int_elimination(field)[0]
     lat = build_lattice(arr)
     for level, flats in enumerate(lat.levels):
         for index, flat in enumerate(flats):
             rows, pivots = _member_rref(arr, flat)
-            int_rows = [to_int(row) for row in rows]
+            int_rows = [integer_row(row) for row in rows]  # the rows themselves over F_p
             by_residual, by_extension = {}, {}
             start = max(flat.members, default=-1) + 1
             for h in range(start, n):
-                r = residual(int_rows, pivots, covectors[h])
+                r = residual(int_rows, pivots, arr.hyperplanes[h])
                 by_residual[r] = by_residual.get(r, 0) | 1 << h
                 key = extend_rref(field, rows, pivots, arr.hyperplanes[h])[0]
                 by_extension[key] = by_extension.get(key, 0) | 1 << h
@@ -294,9 +292,9 @@ def _lowest(bits):
 
 
 def test_build_makes_one_insert_per_flat(monkeypatch):
-    """On Weyl B4 the build makes one insert per flat other than V, one
-    residual per hyperplane at V, and one one-row reduction per distinct pair
-    of a level: a new flat X of codimension below dim - 1 takes its
+    """On Weyl B4 the build makes one insert per flat other than V and one
+    one-row reduction per distinct pair of a level, and no residual at V,
+    where each normalized covector is its own class: a new flat X of codimension below dim - 1 takes its
     partition from the first flat Y of the level above that it covers,
     reducing each other class r' of Y that is nonzero at the lead of X's
     class r by r.  A line's one class needs no reduction."""
@@ -309,8 +307,8 @@ def test_build_makes_one_insert_per_flat(monkeypatch):
         monkeypatch.setattr(exactalg, name, counted)
     lat = build_lattice(arr)
     monkeypatch.undo()
-    to_int, residual, _ = int_elimination(arr.field)
-    covectors = [to_int(cov) for cov in arr.hyperplanes]
+    residual = int_elimination(arr.field)[0]
+    covectors = arr.hyperplanes
     reductions = 0
     for level in range(1, arr.dim - 1):
         pairs = set()
@@ -327,15 +325,14 @@ def test_build_makes_one_insert_per_flat(monkeypatch):
                     pairs.add((r, other))
         reductions += len(pairs)
     flats = sum(lat.level_sizes())
-    assert calls == {"residual_int": len(arr) + reductions, "insert_int": flats - 1}
+    assert calls == {"residual_int": reductions, "insert_int": flats - 1}
     assert (len(arr), reductions, flats - 1) == (16, 164, 115)
 
 
 def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
-    """Over Q the flats are keyed by integer rows, and ``rank_of`` and
-    ``flat_from_members`` reduce integer rows too; the only code of the
-    fractions module that any of them runs reads numerators and
-    denominators."""
+    """Over Q the covectors are integer rows, the flats are keyed by
+    integer rows, and ``rank_of`` and ``flat_from_members`` reduce integer
+    rows too; none of them runs any code of the fractions module."""
     arr = weyl_b(4)
     called = set()
 
@@ -350,7 +347,7 @@ def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
         spanned = flat_from_members(arr, lat.levels[2][0].members[:2])
     finally:
         sys.setprofile(None)
-    assert called <= {"numerator", "denominator"}
+    assert called == set()
     assert rank == 4
     assert spanned == lat.levels[2][0]
 
