@@ -7,7 +7,7 @@ monic divisors, which keeps every computation inside Z.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 IntPoly = tuple  # tuple[int, ...]
@@ -152,37 +152,41 @@ def _divisors(n: int) -> list[int]:
 
 
 def gcd_monic(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Monic gcd of two monic integer polynomials (integral by Gauss's lemma)."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while any(b):
-        a, b = b, _frac_rem(a, b)
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return ZERO
-    lead = a[-1]
-    monic = [c / lead for c in a]
-    if any(c.denominator != 1 for c in monic):
+    """Monic gcd of two monic integer polynomials (integral by Gauss's lemma).
+
+    Euclid's algorithm on primitive pseudo-remainders: each remainder is
+    taken by ``lead(b)``-scaled steps, which stay in Z, and divided by its
+    content, which keeps the coefficients small and the gcd unchanged up
+    to a constant (Knuth, *TAOCP* 2, §4.6.1).  The last nonzero remainder
+    is then the primitive gcd, which is monic when the gcd over Q is
+    integral."""
+    a, b = _primitive(f), _primitive(g)
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    if a and a[-1] != 1:
         raise ArithmeticError("the monic gcd of monic integer polynomials is not integral")
-    return poly([int(c) for c in monic])
+    return a
 
 
-def _frac_rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    rem = list(f)
-    while g and g[-1] == 0:
-        g = g[:-1]
-    dg = len(g) - 1
-    lead = g[-1]
-    for k in range(len(rem) - dg - 1, -1, -1):
-        c = rem[k + dg]
-        if c:
-            factor = c / lead
-            for j in range(dg + 1):
-                rem[k + j] -= factor * g[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+def _primitive(f: IntPoly) -> IntPoly:
+    """f divided by its content, with a positive lead; ZERO stays ZERO."""
+    if not f:
+        return ZERO
+    content = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return tuple(c // content for c in f)
+
+
+def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
+    """A remainder of lead(g)^k * f by g (g nonzero), for some k >= 0."""
+    rem, lead, dg = list(f), g[-1], len(g) - 1
+    while len(rem) > dg:
+        c, k = rem[-1], len(rem) - 1 - dg
+        rem = [lead * x for x in rem]
+        for j, y in enumerate(g):
+            rem[k + j] -= c * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(rem)
 
 
 def to_string(f: IntPoly, var: str = "t") -> str:

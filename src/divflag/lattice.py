@@ -12,7 +12,9 @@ the fraction-free reduced integer rows, which are exact for any
 coefficients.  Only residuals and inserts touch coordinates.  Möbius
 values follow from Weisner's theorem with the atom of a flat's largest
 member, so they need no arithmetic.  Member sets are kept as bitmasks so
-interval containment (reverse inclusion) is a single subset test.
+interval containment (reverse inclusion) is a single subset test, and
+each flat keeps the class masks of its partition, from which the cover
+relation is read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from math import lcm
+from operator import itemgetter
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, make_arrangement, ArrangementError
@@ -41,6 +44,9 @@ class IntersectionLattice:
     mobius: tuple[tuple[int, ...], ...]
     complete: bool
     _masks: tuple[tuple[int, ...], ...]
+    # the class masks members(X) − members(Y) of each flat Y's covers X,
+    # () for every flat of the last level
+    _classes: tuple[tuple[tuple[int, ...], ...], ...] = dc_field(repr=False, compare=False)
     _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = dc_field(
         default=None, repr=False, compare=False)
     _where: dict[int, tuple[int, int]] | None = dc_field(default=None, repr=False, compare=False)
@@ -57,33 +63,29 @@ class IntersectionLattice:
     def mask(self, level: int, index: int) -> int:
         return self._masks[level][index]
 
-    def locate(self, members) -> tuple[int, int] | None:
-        """(level, index) of the flat with exactly these members, or None."""
-        if self._where is None:  # member bitmask -> (level, index)
+    def _index(self) -> dict[int, tuple[int, int]]:
+        """member bitmask -> (level, index), built on first use."""
+        if self._where is None:
             self._where = {m: (level, index) for level, masks in enumerate(self._masks)
                            for index, m in enumerate(masks)}
-        return self._where.get(sum(1 << h for h in set(members)))
+        return self._where
+
+    def locate(self, members) -> tuple[int, int] | None:
+        """(level, index) of the flat with exactly these members, or None."""
+        return self._index().get(sum(1 << h for h in set(members)))
 
     @property
     def covers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """covers[i][j] = indices k at level i+1 with levels[i][j] covered by
         levels[i+1][k], ascending; their number is |A^X| for X = levels[i][j].
-        Only the upper flats in the smallest member bucket of X are tested."""
+        Each is the flat whose members are members(X) ∪ c for one of the
+        cover classes c that the build kept for X; the last level has none."""
         if self._covers is None:
-            out = []
-            for i in range(len(self.levels) - 1):
-                upper = self._masks[i + 1]
-                buckets: list[list[int]] = [[] for _ in self.arrangement.hyperplanes]
-                for k, flat in enumerate(self.levels[i + 1]):
-                    for h in flat.members:
-                        buckets[h].append(k)
-                out.append(tuple(
-                    tuple(k for k in min((buckets[h] for h in flat.members), key=len)
-                          if upper[k] & lm == lm) if flat.members else tuple(range(len(upper)))
-                    for flat, lm in zip(self.levels[i], self._masks[i])
-                ))
-            out.append(tuple(() for _ in self.levels[-1]))
-            self._covers = tuple(out)
+            where = self._index()
+            self._covers = tuple(
+                tuple(tuple(sorted(where[m | c][1] for c in classes))
+                      for m, classes in zip(masks, level))
+                for masks, level in zip(self._masks, self._classes))
         return self._covers
 
     def atom(self, h: int) -> int:
@@ -96,9 +98,7 @@ class IntersectionLattice:
         """The union of the cover classes members(Y) − members(X) of
         X = levels[level][index] that lie inside the bitmask ``deleted``.
         The minor (A − S)^X depends on S only through it."""
-        base = self._masks[level][index]
-        classes = (self._masks[level + 1][k] & ~base for k in self.covers[level][index])
-        return sum(m for m in classes if not m & ~deleted)
+        return sum(c for c in self._classes[level][index] if not c & ~deleted)
 
     def restriction_chi(self, level: int, index: int, deleted: int = 0) -> intpoly.IntPoly:
         """χ((A − S)^X; t) = Σ_Z μ(X, Z) t^{dim Z} for X = levels[level][index],
@@ -118,12 +118,13 @@ class IntersectionLattice:
             coeffs = [0] * (dim - level + 1)
             coeffs[dim - level] = 1
             current = {index: 1}  # μ(X, W) over the minor's flats W of one level
+            covers = self.covers
             for lvl in range(level, len(self.levels) - 1):
-                lower, upper = self._masks[lvl], self._masks[lvl + 1]
+                lower, upper, ups = self._masks[lvl], self._masks[lvl + 1], covers[lvl]
                 atoms: dict[int, int] = {}  # upper flat -> bit of its K, 0 if none
                 sums: dict[int, int] = {}
                 for w, mu in current.items():
-                    for z in self.covers[lvl][w]:
+                    for z in ups[w]:
                         if z not in atoms:
                             atoms[z] = 1 << (upper[z] & ~(base | deleted)).bit_length() >> 1
                         if atoms[z] and not lower[w] & atoms[z]:
@@ -140,11 +141,14 @@ def _row_order(field, level):
     Over Q the rows are fraction-free: row i, scaled by L/d_i for d_i its
     pivot and L the lcm of the level's pivots, is L times the rref row.
     Every flat of a level has as many rows, so the flattened integers sort
-    in the order of the rref rows, and the sort compares ints.
+    in the order of the rref rows, and the sort compares ints.  When L is 1
+    (every pivot is 1, as on every level of a Weyl or braid arrangement)
+    the scaled rows are the rows themselves, and so are the keys over F_p.
     """
-    if field != QQ:
-        return lambda entry: entry[0]
-    den = lcm(*(row[c] for entry in level for row, c in zip(entry[0], entry[1])))
+    den = 1 if field != QQ else lcm(
+        *(row[c] for entry in level for row, c in zip(entry[0], entry[1])))
+    if den == 1:
+        return itemgetter(0)
     return lambda entry: tuple(x * (den // row[c]) for row, c in zip(entry[0], entry[1])
                                for x in row)
 
@@ -183,8 +187,10 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     Rows are built in plain int arithmetic (``int_elimination``): the rref
     over F_p, and over Q the fraction-free reduced rows of the integer
     covectors, which are exact for any coefficients.  They order each level
-    and are kept for the last level built only; the flats keep only their
-    member sets, and no partition is computed for the last level.
+    and are kept for the last level built only.  The flats keep their
+    member sets and the class masks of their partitions, not the residuals,
+    and ``covers`` reads the cover relation from those classes; no
+    partition is computed for the last level.
     """
     field = arr.field
     limit = arr.dim if max_codim is None else min(max_codim, arr.dim)
@@ -193,7 +199,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     # residual -> the bits of its class; at V every hyperplane is a class,
     # and a normalized covector is its own residual modulo no rows
     partition = {cov: 1 << h for h, cov in enumerate(arr.hyperplanes)}
-    masks, mobius = [(0,)], [(1,)]
+    masks, mobius, classes = [(0,)], [(1,)], []
     # the flats of the last level: [rows, pivots, member mask, μ, partition]
     frontier = [[(), (), 0, 1, partition]]
     # e_c, the residual of every non-member of a line whose free column is c
@@ -207,8 +213,11 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
         # same pair recurs across the flats of a level of a root system
         reductions: dict[tuple, tuple[int, dict]] = {}
         frontier.reverse()
+        level_classes: list[tuple[int, ...]] = []
+        classes.append(level_classes)
         while frontier:
             rows, pivots, mask, mu, partition = frontier.pop()
+            level_classes.append(tuple(partition.values()))
             for r, bits in partition.items():
                 x = mask | bits
                 entry = found.get(x)
@@ -240,7 +249,9 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                                     t = reduced[s] = residual((r,), (lead,), s)
                                 child[t] = child.get(t, 0) | other
                     entry = found[x] = [new_rows, new_pivots, x, 0, child]
-                if bits.bit_length() == x.bit_length():
+                # bits and mask are disjoint, so max(X) is in Y's class
+                # exactly when bits > mask
+                if bits > mask:
                     entry[3] += mu
         if not found:
             break
@@ -258,12 +269,16 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
 
     # a capped build is still complete when it stopped before hitting the cap
     complete = max_codim is None or len(flats) - 1 < limit or limit == arr.dim
+    # the last level has no covers, whether or not its partitions were taken
+    del classes[len(masks) - 1:]
+    classes.append(((),) * len(masks[-1]))
     return IntersectionLattice(
         arrangement=arr,
         levels=flats,
         mobius=tuple(mobius),
         complete=complete,
         _masks=tuple(masks),
+        _classes=tuple(map(tuple, classes)),
     )
 
 

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from divflag import intpoly
 from divflag.intpoly import (
+    ONE,
     ZERO,
     div_rem,
     divides,
@@ -112,3 +114,58 @@ def test_gcd_monic():
     g = from_roots([1, 3, 7])
     assert gcd_monic(f, g) == from_roots([1, 3])
     assert gcd_monic(f, from_roots([2])) == poly([1])
+
+
+def _reference_gcd_monic(f, g):
+    """The monic gcd by Euclid's algorithm over Q, in Fractions."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while any(b):
+        a, b = b, _fraction_rem(a, b)
+    while a and a[-1] == 0:
+        a.pop()
+    if not a:
+        return ZERO
+    monic = [c / a[-1] for c in a]
+    assert all(c.denominator == 1 for c in monic)
+    return poly([int(c) for c in monic])
+
+
+def _fraction_rem(f, g):
+    rem = list(f)
+    while g and g[-1] == 0:
+        g = g[:-1]
+    dg = len(g) - 1
+    for k in range(len(rem) - dg - 1, -1, -1):
+        c = rem[k + dg]
+        if c:
+            factor = c / g[-1]
+            for j in range(dg + 1):
+                rem[k + j] -= factor * g[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def test_gcd_monic_matches_fraction_euclid():
+    """Products of linear factors, some times an irreducible quadratic,
+    sharing a random part of their roots."""
+    rng = random.Random(31)
+    quadratics = [ONE, poly([1, 0, 1]), poly([2, 1, 1]), poly([-3, 0, 1])]
+    for _ in range(300):
+        shared = [rng.randint(-6, 9) for _ in range(rng.randint(0, 4))]
+        f = mul(from_roots(shared + [rng.randint(-6, 9) for _ in range(rng.randint(0, 4))]),
+                rng.choice(quadratics))
+        g = mul(from_roots(shared + [rng.randint(-6, 9) for _ in range(rng.randint(0, 4))]),
+                rng.choice(quadratics))
+        expected = _reference_gcd_monic(f, g)
+        assert gcd_monic(f, g) == gcd_monic(g, f) == expected
+        assert divides(expected, f) and divides(expected, g)
+        assert divides(from_roots(shared), expected)
+
+
+def test_gcd_monic_with_zero():
+    f = from_roots([2, 2, -1])
+    assert gcd_monic(f, ZERO) == gcd_monic(ZERO, f) == f
+    assert gcd_monic(ZERO, ZERO) == ZERO
+    assert gcd_monic(f, ONE) == ONE

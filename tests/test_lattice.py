@@ -133,6 +133,7 @@ def _assert_matches_reference(arr, max_codim=None):
     lat = build_lattice(arr, max_codim)
     assert lat.complete == complete
     assert [list(m) for m in lat._masks] == masks
+    assert lat.covers == _all_pairs_covers(lat)
     assert [list(m) for m in lat.mobius] == mobius
     assert len(lat.levels) == len(rows)
     for codim, (level, level_rows, level_masks) in enumerate(zip(lat.levels, rows, masks)):
@@ -143,11 +144,19 @@ def _assert_matches_reference(arr, max_codim=None):
         ]
 
 
+# Weyl B3 with x1 halved: the pivots of its levels 1 and 2 have lcm 2, and
+# its restrictions have four-line levels with lcm 1 and with lcm 2, so the
+# level order is checked with and without scaling
+B3_HALF = [[2, -1, 0], [2, 1, 0], [2, 0, -1], [2, 0, 1], [0, 1, -1], [0, 1, 1],
+           [2, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def _catalog_arrangements():
     for name in CATALOG_NAMES:
         yield name, build_entry(name).arrangement
     yield "weyl-b4", weyl_b(4)
     yield "braid5", braid(5)
+    yield "b3-half", make_arrangement(QQ, 3, B3_HALF)
 
 
 @pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
@@ -388,6 +397,29 @@ def _all_pairs_covers(lat):
         for lower, upper in zip(lat._masks, lat._masks[1:])
     ]
     return tuple(out) + (tuple(() for _ in lat.levels[-1]),)
+
+
+def _cover_arrangements():
+    yield "braid4", braid(4)  # not essential: its center is a line
+    yield "empty", make_arrangement(QQ, 3, [])
+    yield "one-plane", make_arrangement(QQ, 3, [[1, 2, 3]])
+    for p in (2, 3, 2**31 - 1):
+        rng = random.Random(401 + p % 1000)
+        for dim in range(2, 5):
+            available = (p ** dim - 1) // (p - 1)
+            arr = random_arrangement(rng, dim, min(available, 9), field=PrimeField(p))
+            yield f"f{p}-dim{dim}", arr
+
+
+@pytest.mark.parametrize("name,arr", list(_cover_arrangements()))
+def test_covers_match_all_pairs_at_every_cap(name, arr):
+    for cap in [None] + list(range(1, arr.dim + 1)):
+        lat = build_lattice(arr, cap)
+        assert lat.covers == _all_pairs_covers(lat)
+        if not lat.complete:
+            assert all(ups == () for ups in lat.covers[-1])
+            with pytest.raises(ValueError):
+                lat.restriction_chi(0, 0)
 
 
 def _assert_interval_queries(arr):
