@@ -100,9 +100,10 @@ def _cmd_lattice(args) -> int:
     sizes = lat.level_sizes()
     print(f"level sizes: {list(sizes)}")
     flats_json = []
-    for codim, (level, mob) in enumerate(zip(lat.levels, lat.mobius)):
-        for flat, mu in zip(level, mob):
-            flats_json.append({"codim": codim, "members": list(flat.members), "mobius": mu})
+    for codim, mob in enumerate(lat.mobius):
+        for index, mu in enumerate(mob):
+            flats_json.append({"codim": codim, "members": list(lat.members(codim, index)),
+                               "mobius": mu})
     print(f"flats: {len(flats_json)}")
     print(f"chi: {intpoly.to_string(data.chi)}")
     report = {

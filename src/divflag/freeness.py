@@ -128,7 +128,7 @@ def divisional_flag_search(arr: Arrangement) -> DivisionalFlag | None:
         return None
     ids = ((0, 0),) + chain
     charpolys = tuple(lattice.restriction_chi(*where) for where in ids)
-    flats = tuple(lattice.levels[level][index] for level, index in ids)
+    flats = tuple(lattice.flat(*where) for where in ids)
     return DivisionalFlag(flats, charpolys, intpoly.linear_roots(charpolys[0]))
 
 
@@ -316,8 +316,9 @@ def hereditarily_df(arr: Arrangement):
     (all_pass, failing flats)."""
     lattice = build_lattice(arr)
     search = _FlagSearch(lattice)
-    failing = tuple(flat for level, flats in enumerate(lattice.levels[:arr.dim])
-                    for index, flat in enumerate(flats) if search.search(level, index) is None)
+    failing = tuple(lattice.flat(level, index)
+                    for level, size in enumerate(lattice.level_sizes()[:arr.dim])
+                    for index in range(size) if search.search(level, index) is None)
     return (not failing, failing)
 
 
@@ -330,7 +331,7 @@ class Rank3Conditions:
 
 def _rank3_lattice(arr: Arrangement, h: int, error: str) -> tuple[IntersectionLattice, int]:
     lattice = build_lattice(arr)
-    if len(lattice.levels) != 4:
+    if len(lattice.level_sizes()) != 4:
         raise ValueError(error)
     return lattice, lattice.atom(h)
 
@@ -428,7 +429,7 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
         else:
             rp = intpoly.sub(_chi0(chi_del), intpoly.mul((-(len(arr) - 1 - n_res), 1), chi0_res))
             cond8 = intpoly.coeff(rp, ell - 3) == 0
-    res_rank = len(lattice.levels) - 2  # the interval above H_h
+    res_rank = len(lattice.level_sizes()) - 2  # the interval above H_h
     certified: bool | None
     if res_rank <= 2:
         certified = True

@@ -40,21 +40,30 @@ class BadPrimeError(ValueError):
 @dataclass
 class IntersectionLattice:
     arrangement: Arrangement
-    levels: tuple[tuple[Flat, ...], ...]
     mobius: tuple[tuple[int, ...], ...]
     complete: bool
     _masks: tuple[tuple[int, ...], ...]
     # the class masks members(X) − members(Y) of each flat Y's covers X,
     # () for every flat of the last level
     _classes: tuple[tuple[tuple[int, ...], ...], ...] = dc_field(repr=False, compare=False)
+    _levels: tuple[tuple[Flat, ...], ...] | None = dc_field(default=None, repr=False, compare=False)
     _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = dc_field(
         default=None, repr=False, compare=False)
     _where: dict[int, tuple[int, int]] | None = dc_field(default=None, repr=False, compare=False)
     _chis: dict[tuple[int, int, int], intpoly.IntPoly] = dc_field(
         default_factory=dict, repr=False, compare=False)
 
+    @property
+    def levels(self) -> tuple[tuple[Flat, ...], ...]:
+        """levels[i] = the flats of codimension i, made from the member
+        masks on first read."""
+        if self._levels is None:
+            self._levels = tuple(tuple(self.flat(level, index) for index in range(len(masks)))
+                                 for level, masks in enumerate(self._masks))
+        return self._levels
+
     def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+        return tuple(map(len, self._masks))
 
     def flats(self):
         for level in self.levels:
@@ -62,6 +71,20 @@ class IntersectionLattice:
 
     def mask(self, level: int, index: int) -> int:
         return self._masks[level][index]
+
+    def members(self, level: int, index: int) -> tuple[int, ...]:
+        """The members of levels[level][index]: the set bits of its mask, in
+        increasing order."""
+        mask, bits = self._masks[level][index], []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(bits)
+
+    def flat(self, level: int, index: int) -> Flat:
+        """levels[level][index], made anew from its member mask."""
+        return Flat(self.arrangement, level, self.members(level, index))
 
     def _index(self) -> dict[int, tuple[int, int]]:
         """member bitmask -> (level, index), built on first use."""
@@ -119,7 +142,7 @@ class IntersectionLattice:
             coeffs[dim - level] = 1
             current = {index: 1}  # μ(X, W) over the minor's flats W of one level
             covers = self.covers
-            for lvl in range(level, len(self.levels) - 1):
+            for lvl in range(level, len(self._masks) - 1):
                 lower, upper, ups = self._masks[lvl], self._masks[lvl + 1], covers[lvl]
                 atoms: dict[int, int] = {}  # upper flat -> bit of its K, 0 if none
                 sums: dict[int, int] = {}
@@ -187,9 +210,10 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     Rows are built in plain int arithmetic (``int_elimination``): the rref
     over F_p, and over Q the fraction-free reduced rows of the integer
     covectors, which are exact for any coefficients.  They order each level
-    and are kept for the last level built only.  The flats keep their
-    member sets and the class masks of their partitions, not the residuals,
-    and ``covers`` reads the cover relation from those classes; no
+    and are kept for the last level built only.  The lattice keeps each
+    flat's member mask and the class masks of its partition, not the
+    residuals; ``flat`` and ``levels`` make ``Flat`` objects from the masks
+    on demand, and ``covers`` reads the cover relation from the classes; no
     partition is computed for the last level.
     """
     field = arr.field
@@ -262,19 +286,13 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
         masks.append(tuple(entry[2] for entry in frontier))
         mobius.append(tuple(entry[3] for entry in frontier))
 
-    flats = tuple(
-        tuple(Flat(arr, codim, _set_bits(mask)) for mask in level)
-        for codim, level in enumerate(masks)
-    )
-
     # a capped build is still complete when it stopped before hitting the cap
-    complete = max_codim is None or len(flats) - 1 < limit or limit == arr.dim
+    complete = max_codim is None or len(masks) - 1 < limit or limit == arr.dim
     # the last level has no covers, whether or not its partitions were taken
     del classes[len(masks) - 1:]
     classes.append(((),) * len(masks[-1]))
     return IntersectionLattice(
         arrangement=arr,
-        levels=flats,
         mobius=tuple(mobius),
         complete=complete,
         _masks=tuple(masks),
@@ -282,20 +300,11 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     )
 
 
-def _set_bits(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of ``mask``, in increasing order."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
-
-
 def rank2_flats(arr: Arrangement) -> tuple[Flat, ...]:
     """The codimension-2 flats only (cheaper than a full lattice)."""
     lat = build_lattice(arr, max_codim=2)
-    return lat.levels[2] if len(lat.levels) > 2 else ()
+    sizes = lat.level_sizes()
+    return tuple(lat.flat(2, index) for index in range(sizes[2])) if len(sizes) > 2 else ()
 
 
 @dataclass(frozen=True)

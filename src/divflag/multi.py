@@ -8,16 +8,19 @@ multiarrangement is free (Ziegler), so the dimension of one kernel of the
 exact linear system for derivations, at degree ceil(|m|/2) - 1, gives both
 exponents; a generator is then solved at each exponent degree and the pair
 is certified by the Saito determinant condition.  The whole solve runs in
-plain ints over Q and over F_p alike: the containment conditions are rows
-of Hasse coefficients at integer points of the lines, reduced by the
-field's ``int_elimination``, with an integer kernel basis read off the free
-columns and an integer Saito check.
+plain ints over Q and over F_p alike, in the basis of the two lines of
+largest multiplicity: these become the axes x = 0 and y = 0, whose
+conditions x^m | P and y^m | Q set coefficients to zero, so their columns
+leave the system.  The other lines' containment conditions are rows of
+Hasse coefficients at integer points of the lines, reduced on the
+surviving columns by the field's ``int_elimination``, with an integer
+kernel basis read off the free columns and an integer Saito check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from . import intpoly
 from .arrangement import (
@@ -106,30 +109,44 @@ def _reduce(p: int, v):
     return [x % p for x in v] if p else v
 
 
+def _axis_coordinates(field: Field, pairs, mults) -> list[tuple[int, int]]:
+    """The lines in the basis of the two of largest multiplicity, i and j
+    (ties to the lowest index): (a, b) -> (a*b_j - b*a_j, a_i*b - b_i*a),
+    primitive over Q and mod p over F_p.  Line i becomes x = 0 and line j
+    y = 0; the change of coordinates has determinant a_i*b_j - a_j*b_i,
+    nonzero in the field, so the multiarrangement is an isomorphic one."""
+    i, j = sorted(range(len(mults)), key=lambda k: -mults[k])[:2]
+    (ai, bi), (aj, bj) = pairs[i], pairs[j]
+    p = _modulus(field)
+    out = []
+    for a, b in pairs:
+        a, b = a * bj - b * aj, ai * b - bi * a
+        if p:
+            out.append((a % p, b % p))
+        else:
+            g = gcd(a, b)
+            out.append((a // g, b // g))
+    return out
+
+
 def _containment_rows(pairs, mults, d: int, p: int) -> list[list[int]]:
     """Integer rows whose vanishing on (P, Q), the coefficients of
-    x^(d-i) y^i, says that (a*x + b*y)^m divides F = a*P + b*Q on every line.
-
-    For a = 0 the first m coefficients F_0..F_(m-1) vanish.  Otherwise the
-    first m Hasse coefficients of s -> F(s - b, a) vanish, the j-th being
-    sum_i F_i C(d-i, j) (-b)^(d-i-j) a^i: (s - b, a) crosses the line at
-    s = 0, so this tests divisibility in every characteristic, m >= p
-    included.  A multiplicity above d leaves only F = 0, which the first
-    d + 1 rows already say.
+    x^(d-i) y^i, says that (a*x + b*y)^m divides F = a*P + b*Q on every line
+    that is not a coordinate line: the first m Hasse coefficients of
+    s -> F(s - b, a) vanish, the j-th being sum_i F_i C(d-i, j)
+    (-b)^(d-i-j) a^i.  (s - b, a) crosses the line at s = 0, so this tests
+    divisibility in every characteristic, m >= p included.  A multiplicity
+    above d leaves only F = 0, which the first d + 1 rows already say.  A
+    coordinate line gets no rows: ``_derivation_kernel`` drops its columns.
     """
     ncols = 2 * (d + 1)
     rows = []
     for (a, b), m in zip(pairs, mults):
-        m = min(m, d + 1)
-        if a == 0:
-            for i in range(m):
-                row = [0] * ncols
-                row[d + 1 + i] = b
-                rows.append(row)
+        if not (a and b):
             continue
         a_pow = [a**k for k in range(d + 1)]
         nb_pow = [(-b) ** k for k in range(d + 1)]
-        for j in range(m):
+        for j in range(min(m, d + 1)):
             row = [0] * ncols
             for i in range(d - j + 1):
                 w = comb(d - i, j) * nb_pow[d - i - j] * a_pow[i]
@@ -141,24 +158,37 @@ def _containment_rows(pairs, mults, d: int, p: int) -> list[list[int]]:
 
 def _derivation_kernel(field: Field, pairs, mults, d: int) -> list[tuple[int, ...]]:
     """Integer basis of the kernel of the degree-d containment conditions
-    for derivations (P, Q), one vector per free column of the reduced rows:
-    v[fc] is the lcm of the pivots of the rows that meet fc, and each such
-    row's pivot column gets -row[fc] * (lcm / row[pc]).  Over F_p the
+    for derivations (P, Q).  A coordinate line's condition is monomial:
+    x^m | P for (a, 0), y^m | Q for (0, b), so its min(m, d + 1) columns
+    (P's at x-degree below m, Q's at y-degree below m) are zero and drop out
+    with their rows.  The other lines' rows are reduced on the surviving
+    columns, and there is one vector per free column, written back at full
+    width: v[fc] is the lcm of the pivots of the rows that meet fc, and each
+    such row's pivot column gets -row[fc] * (lcm / row[pc]).  Over F_p the
     pivots are 1 and the vector is reduced mod p."""
     p = _modulus(field)
     ncols = 2 * (d + 1)
-    rows, pivots = int_rref(field, _containment_rows(pairs, mults, d, p))
+    dropped = set()
+    for (a, b), m in zip(pairs, mults):
+        m = min(m, d + 1)
+        if not b:
+            dropped.update(range(d + 1 - m, d + 1))
+        elif not a:
+            dropped.update(range(d + 1, d + 1 + m))
+    keep = [c for c in range(ncols) if c not in dropped]
+    rows, pivots = int_rref(field, [[row[c] for c in keep]
+                                    for row in _containment_rows(pairs, mults, d, p)])
     pivot_set = set(pivots)
     basis = []
-    for fc in range(ncols):
+    for fc in range(len(keep)):
         if fc in pivot_set:
             continue
         meets = [(row[fc], row[pc], pc) for row, pc in zip(rows, pivots) if row[fc]]
         scale = lcm(*[lead for _, lead, _ in meets])
         v = [0] * ncols
-        v[fc] = scale
+        v[keep[fc]] = scale
         for x, lead, pc in meets:
-            v[pc] = -x * (scale // lead)
+            v[keep[pc]] = -x * (scale // lead)
         basis.append(tuple(_reduce(p, v)))
     return basis
 
@@ -197,12 +227,15 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     k > 0 gives d1 = d - k + 1, and k = 0 gives d1 = d2 = |m|/2.
 
     The kernels are solved in plain ints, on the field's
-    ``int_elimination``: the lines are integer pairs, each containment
-    condition is a row of Hasse coefficients, and an integer basis is read
-    off the free columns.  The first generator is the first kernel vector
-    at d1, the second the first kernel vector at d2 outside the span of the
-    polynomial multiples of the first, and the pair is certified by the
-    Saito determinant condition on integer forms, mod p over F_p.
+    ``int_elimination``: the lines are integer pairs, written in the basis
+    of the two of largest multiplicity (``_axis_coordinates``), whose
+    monomial conditions drop min(m, d + 1) columns each; every other
+    containment condition is a row of Hasse coefficients on the surviving
+    columns, and an integer basis is read off the free columns.  The first
+    generator is the first kernel vector at d1, the second the first kernel
+    vector at d2 outside the span of the polynomial multiples of the first,
+    and the pair is certified by the Saito determinant condition on integer
+    forms, mod p over F_p.
     """
     arr = ma.base
     field = arr.field
@@ -214,6 +247,7 @@ def exp2(ma: MultiArrangement) -> Exponents2:
         lo, hi = sorted((total - n + 1, n - 1))
         return Exponents2(lo, hi)
 
+    pairs = _axis_coordinates(field, pairs, mults)
     d = (total + 1) // 2 - 1
     kernel = _derivation_kernel(field, pairs, mults, d)
     if kernel:

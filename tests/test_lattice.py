@@ -372,6 +372,36 @@ def test_read_and_unread_flats_compare_equal():
     assert [f.name for f in dataclasses.fields(built[0])] == ["parent", "codim", "members"]
 
 
+def test_flats_are_made_on_demand(monkeypatch):
+    """A build makes no ``Flat``; ``flat`` and ``members`` read one from its
+    mask, ``levels`` makes them all on first read, and the flag searches
+    make one per flat they return."""
+    from divflag import freeness, lattice
+    made = []
+
+    def counting_flat(*args):
+        made.append(args[1:])
+        return Flat(*args)
+
+    monkeypatch.setattr(lattice, "Flat", counting_flat)
+    arr = weyl_b(4)
+    lat = build_lattice(arr)
+    assert made == []
+    assert lat.members(2, 3) == lat.flat(2, 3).members and len(made) == 1
+    flats = [flat for level in lat.levels for flat in level]
+    assert len(made) == 1 + sum(lat.level_sizes()) == 1 + len(flats)
+    assert flats == [lat.flat(level, index) for level, size in enumerate(lat.level_sizes())
+                     for index in range(size)]
+    assert [list(f.members) for f in flats] == [
+        [h for h in range(len(arr)) if mask >> h & 1] for level in lat._masks for mask in level]
+    del made[:]
+    flag = freeness.divisional_flag_search(arr)
+    assert len(made) == len(flag.flats) == 3
+    del made[:]
+    ok, failing = freeness.hereditarily_df(arr)
+    assert ok and made == []
+
+
 @pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
 def test_normal_space_on_demand_matches_flat_from_members(name, arr):
     for flat in build_lattice(arr).flats():

@@ -1,6 +1,7 @@
 import fractions
 import random
 import sys
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -15,7 +16,7 @@ from divflag.catalog import (
     xyzw_restriction,
 )
 from divflag import multi
-from divflag.exactalg import PrimeField, QQ
+from divflag.exactalg import PrimeField, QQ, int_rref
 from divflag.lattice import char_data
 from divflag.multi import (
     MultiArrangement,
@@ -269,6 +270,146 @@ def test_exp2_matches_reference_scan(field):
 def test_exp2_matches_reference_named(lines, mults):
     ma = MultiArrangement(_lines(*lines), Multiplicity(mults))
     assert exp2(ma) == _reference_exp2(ma)
+
+
+def _full_width_rows(pairs, mults, d, p):
+    """The containment rows of every line on all 2(d + 1) columns, a line
+    (0, b) included: the row builder that the axis reduction replaced."""
+    ncols = 2 * (d + 1)
+    rows = []
+    for (a, b), m in zip(pairs, mults):
+        m = min(m, d + 1)
+        if a == 0:
+            for i in range(m):
+                row = [0] * ncols
+                row[d + 1 + i] = b
+                rows.append(row)
+            continue
+        for j in range(m):
+            row = [0] * ncols
+            for i in range(d - j + 1):
+                w = comb(d - i, j) * (-b) ** (d - i - j) * a**i
+                row[i] = a * w
+                row[d + 1 + i] = b * w
+            rows.append([x % p for x in row] if p else row)
+    return rows
+
+
+def _full_width_kernel(field, pairs, mults, d):
+    """The kernel of the full-width system, solved by ``int_rref`` on all
+    2(d + 1) columns with no column dropped: the oracle for the axis
+    reduction of ``_derivation_kernel``."""
+    p = field.p if field.kind == "Fp" else 0
+    ncols = 2 * (d + 1)
+    rows, pivots = int_rref(field, _full_width_rows(pairs, mults, d, p))
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        meets = [(row[fc], row[pc], pc) for row, pc in zip(rows, pivots) if row[fc]]
+        scale = lcm(*[lead for _, lead, _ in meets])
+        v = [0] * ncols
+        v[fc] = scale
+        for x, lead, pc in meets:
+            v[pc] = -x * (scale // lead)
+        basis.append(tuple(x % p for x in v) if p else tuple(v))
+    return basis
+
+
+# the lines (a, b) with a, b != 0 that the general-position batteries draw
+GENERAL_LINES = [(a, b) for a in (1, 2, 3) for b in range(-4, 5) if b and gcd(a, b) == 1]
+
+
+def _general_position_multi(rng, field, max_lines, max_mult):
+    """A rank-2 multiarrangement no line of which is a coordinate line.  Over
+    F_2 every rank-2 arrangement has one in its two coordinates, so there
+    the three lines of F_2^2 sit in F_2^3 on planes that are not coordinate
+    planes."""
+    if field == PrimeField(2):
+        arr = make_arrangement(field, 3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    else:
+        pool = [(1, s) for s in range(1, field.p)] if field != QQ and field.p < 11 else GENERAL_LINES
+        lines = rng.sample(pool, rng.randint(2, min(max_lines, len(pool))))
+        arr = make_arrangement(field, 2, lines)
+        assert all(a and b for a, b in multi._two_coordinates(arr))
+    return MultiArrangement(arr, Multiplicity(tuple(rng.randint(1, max_mult) for _ in arr.hyperplanes)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7),
+                                   PrimeField(2**31 - 1)],
+                         ids=["Q", "F2", "F3", "F5", "F7", "F2147483647"])
+def test_axis_kernel_matches_full_width_oracle(field):
+    # in the basis of the two heaviest lines, the reduced system has the
+    # kernel dimension of the full-width system at every degree, and the
+    # exponents are the oracle's
+    rng = random.Random(181 if field == QQ else 181 + field.p)
+    for _ in range(10):
+        ma = _general_position_multi(rng, field, max_lines=4, max_mult=6)
+        mults = ma.mult.values
+        pairs = multi._two_coordinates(ma.base)
+        axes = multi._axis_coordinates(field, pairs, mults)
+        for d in range(ma.mult.total + 1):
+            assert len(multi._derivation_kernel(field, axes, mults, d)) == \
+                len(_full_width_kernel(field, pairs, mults, d))
+        assert exp2(ma) == _reference_exp2(ma)
+
+
+@pytest.mark.parametrize("field,dim,lines,mults", [
+    (QQ, 2, [(1, 1), (1, 2), (1, 3), (1, -1)], (3, 5, 5, 2)),  # tied top multiplicities
+    (QQ, 2, [(1, 1), (1, 2), (1, 3), (1, -1)], (4, 4, 4, 4)),  # all tied
+    (QQ, 2, [(1, 1), (1, 2), (1, 3)], (9, 1, 1)),  # m_i = 9 > d = 5: all of P drops
+    (QQ, 2, [(2, 1), (1, -3), (1, 1)], (1, 12, 2)),  # the heaviest line is not the first
+    (QQ, 2, [(1, 1), (1, 2)], (4, 3)),  # two lines: no rows remain
+    (PrimeField(2), 3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)], (5, 4, 3)),  # m past p = 2
+    (PrimeField(3), 2, [(1, 1), (1, 2), (1, 0), (0, 1)], (7, 4, 5, 3)),  # m past p = 3
+    (QQ, 4, [(1, 0, 2, 0), (0, 1, 0, 3), (1, 1, 2, 3), (1, -1, 2, -3), (2, 1, 4, 3)],
+     (4, 4, 3, 3, 2)),  # a rank-2 arrangement in dimension 4
+], ids=["tied-top", "all-tied", "heavy-above-d", "heavy-last", "two-lines", "F2-past-p",
+        "F3-past-p", "embedded-dim4"])
+def test_exp2_axis_basis_named(field, dim, lines, mults):
+    ma = MultiArrangement(make_arrangement(field, dim, lines), Multiplicity(mults))
+    assert exp2(ma) == _reference_exp2(ma)
+
+
+def test_exp2_solves_the_reduced_system(monkeypatch):
+    # five lines in general position with m = (8,)*5: at d = 19 the two
+    # heaviest lines drop 8 columns each, so 24 of the 40 columns reach
+    # int_rref; a fallback to the full-width system fails here
+    field = QQ
+    ma = MultiArrangement(_lines((1, 1), (1, 2), (1, 3), (1, -1), (2, 1)), Multiplicity((8,) * 5))
+    widths = []
+    solve = multi.int_rref
+
+    def spy(field, rows):
+        rows = list(rows)
+        widths.append({len(row) for row in rows})
+        return solve(field, rows)
+
+    pairs = multi._two_coordinates(ma.base)
+    assert len(_full_width_rows(pairs, ma.mult.values, 19, 0)[0]) == 40
+    axes = multi._axis_coordinates(field, pairs, ma.mult.values)
+    monkeypatch.setattr(multi, "int_rref", spy)
+    multi._derivation_kernel(field, axes, ma.mult.values, 19)
+    assert widths == [{24}]
+    # the axes are the two heaviest lines wherever they sit: at d = 11,
+    # m = (2, 9, 3, 9, 1) leaves 24 - 9 - 9 columns
+    heavy = (2, 9, 3, 9, 1)
+    widths.clear()
+    multi._derivation_kernel(field, multi._axis_coordinates(field, pairs, heavy), heavy, 11)
+    assert widths == [{6}]
+    widths.clear()
+    assert tuple(exp2(ma)) == (20, 20)
+    assert {24} in widths and {40} not in widths
+
+
+def test_exp2_saito_guard_fires(monkeypatch):
+    # a second generator that is a multiple of the first has determinant 0;
+    # the Saito check must reject it by name, also under python -O
+    monkeypatch.setattr(multi, "_independent_second",
+                        lambda field, theta1, d1, kernel, d: multi._shift_theta(theta1, d1, d, 1))
+    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((9, 1, 1)))
+    with pytest.raises(AssertionError, match="Saito determinant condition failed"):
+        exp2(ma)
 
 
 def test_exp2_inconsistent_kernel_raises(monkeypatch):
@@ -624,15 +765,17 @@ def test_exp2_kernel_vectors_satisfy_containment(field):
     for _ in range(12):
         ma = random_rank2_multi(rng, field=field, max_lines=lines, max_mult=6)
         pairs = multi._two_coordinates(ma.base)
-        for d in range(ma.mult.total + 1):
-            for vec in multi._derivation_kernel(field, pairs, ma.mult.values, d):
-                vec = [field.coerce(x) for x in vec]
-                assert any(x != field.zero for x in vec)
-                for (a, b), m in zip(pairs, ma.mult.values):
-                    a, b = field.coerce(a), field.coerce(b)
-                    form = [field.add(field.mul(a, x), field.mul(b, y))
-                            for x, y in zip(vec[: d + 1], vec[d + 1:])]
-                    assert _line_power_divides(field, a, b, m, form)
+        axes = multi._axis_coordinates(field, pairs, ma.mult.values)
+        for coords in (pairs, axes):
+            for d in range(ma.mult.total + 1):
+                for vec in multi._derivation_kernel(field, coords, ma.mult.values, d):
+                    vec = [field.coerce(x) for x in vec]
+                    assert any(x != field.zero for x in vec)
+                    for (a, b), m in zip(coords, ma.mult.values):
+                        a, b = field.coerce(a), field.coerce(b)
+                        form = [field.add(field.mul(a, x), field.mul(b, y))
+                                for x, y in zip(vec[: d + 1], vec[d + 1:])]
+                        assert _line_power_divides(field, a, b, m, form)
 
 
 def test_exp2_pentagon_directions():
