@@ -20,7 +20,7 @@ from .arrangement import (
     restrict_to_hyperplane,
 )
 from .lattice import IntersectionLattice, build_lattice, char_data
-from .multi import free3_decide
+from .multi import chi0_remainder, free3_decide
 
 
 @dataclass(frozen=True)
@@ -336,11 +336,6 @@ def _rank3_lattice(arr: Arrangement, h: int, error: str) -> tuple[IntersectionLa
     return lattice, lattice.atom(h)
 
 
-def _chi0(chi: intpoly.IntPoly) -> intpoly.IntPoly:
-    """χ/(t − 1), for the charpoly of a nonempty arrangement."""
-    return intpoly.div_rem(chi, (-1, 1))[0]
-
-
 def rank3_triple_conditions(arr: Arrangement, h: int, d1: int, d2: int) -> Rank3Conditions:
     """The three interchangeable rank-3 conditions tying the triple's
     charpolys and the restriction size to candidate exponents (d1, d2).  The
@@ -359,10 +354,11 @@ def rank3_triple_conditions(arr: Arrangement, h: int, d1: int, d2: int) -> Rank3
 def rank3_division_remainder(arr: Arrangement, h: int) -> int:
     """The remainder of dividing chi0 by the restriction's chi0 at rank
     3: chi0 of the essential arrangement evaluated at |A^H| - 1.
-    Nonnegative; zero certifies freeness."""
-    lattice, atom = _rank3_lattice(arr, h, "rank-3 remainder needs a rank-3 arrangement")
-    chi0 = _chi0(lattice.restriction_chi(0, 0)[arr.dim - 3:])
-    a = intpoly.eval_at(chi0, len(lattice.covers[1][atom]) - 1)
+    Nonnegative; zero certifies freeness.  At rank 3 the remainder r of
+    ``chi0_remainder`` is t^(dim−3)·(b − (|A| − |A^H|)(|A^H| − 1)), b the
+    deconed b2, and this is its one coefficient."""
+    lattice, _ = _rank3_lattice(arr, h, "rank-3 remainder needs a rank-3 arrangement")
+    a = intpoly.coeff(chi0_remainder(lattice, h)[1], arr.dim - 3)
     if a < 0:
         raise AssertionError(f"rank-3 remainder {a} is negative")
     return a
@@ -421,14 +417,9 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
         cond7 = cond4
         cond8 = cond5
     else:
-        chi0_res = _chi0(chi_res)
-        r = intpoly.sub(_chi0(chi), intpoly.mul((-(len(arr) - n_res), 1), chi0_res))
-        cond7 = intpoly.coeff(r, ell - 3) == 0
-        if len(arr) == 1:
-            cond8 = cond5
-        else:
-            rp = intpoly.sub(_chi0(chi_del), intpoly.mul((-(len(arr) - 1 - n_res), 1), chi0_res))
-            cond8 = intpoly.coeff(rp, ell - 3) == 0
+        cond7 = intpoly.coeff(chi0_remainder(lattice, h)[1], ell - 3) == 0
+        cond8 = cond5 if len(arr) == 1 else intpoly.coeff(
+            chi0_remainder(lattice, h, 1 << h)[1], ell - 3) == 0
     res_rank = len(lattice.level_sizes()) - 2  # the interval above H_h
     certified: bool | None
     if res_rank <= 2:

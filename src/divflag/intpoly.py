@@ -57,13 +57,6 @@ def scale(f: IntPoly, c: int) -> IntPoly:
     return poly([c * a for a in f])
 
 
-def shift(f: IntPoly, k: int) -> IntPoly:
-    """Multiply by t^k."""
-    if not f:
-        return ZERO
-    return (0,) * k + f
-
-
 def coeff(f: IntPoly, k: int) -> int:
     return f[k] if 0 <= k < len(f) else 0
 

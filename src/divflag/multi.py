@@ -23,15 +23,9 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from . import intpoly
-from .arrangement import (
-    Arrangement,
-    flat_from_members,
-    localization,
-    rank_of,
-    restrict_to_hyperplane,
-)
+from .arrangement import Arrangement, Flat, localization, restrict_to_hyperplane
 from .exactalg import Field, int_elimination, int_rref
-from .lattice import build_lattice, char_data, rank2_flats
+from .lattice import IntersectionLattice, build_lattice, char_data, rank2_flats
 
 
 @dataclass(frozen=True)
@@ -343,6 +337,22 @@ class RemainderReport:
     chi0_restriction: intpoly.IntPoly
 
 
+def _chi0(chi: intpoly.IntPoly) -> intpoly.IntPoly:
+    """chi/(t - 1), for the charpoly of a nonempty arrangement."""
+    return intpoly.div_rem(chi, (-1, 1))[0]
+
+
+def chi0_remainder(lattice: IntersectionLattice, h: int,
+                   deleted: int = 0) -> tuple[int, intpoly.IntPoly]:
+    """(root, r) with chi0(A - S) = (t - root) * chi0(A^H) + r and root =
+    |A - S| - |A^H|, for S the bitmask ``deleted``, read off one lattice of
+    A.  A - S and A^H must be nonempty."""
+    atom = lattice.atom(h)
+    root = len(lattice.arrangement) - deleted.bit_count() - len(lattice.covers[1][atom])
+    product = intpoly.mul((-root, 1), _chi0(lattice.restriction_chi(1, atom)))
+    return root, intpoly.sub(_chi0(lattice.restriction_chi(0, 0, deleted)), product)
+
+
 def remainder_division(arr: Arrangement, h: int) -> RemainderReport:
     """chi0(A) = (t - (|A| - |A^H|)) * chi0(A^H) + r(t), with the remainder's
     alternating-sign coefficient view.
@@ -360,11 +370,7 @@ def remainder_division(arr: Arrangement, h: int) -> RemainderReport:
     atom = lattice.atom(h)
     if not lattice.covers[1][atom]:
         raise ValueError("restriction is empty; chi0 is undefined")
-    chi0 = char_data(arr, lattice).chi0
-    chi0_res = intpoly.div_rem(lattice.restriction_chi(1, atom), (-1, 1))[0]
-    root = len(arr) - len(lattice.covers[1][atom])
-    product = intpoly.mul((-root, 1), chi0_res)
-    r = intpoly.sub(chi0, product)
+    root, r = chi0_remainder(lattice, h)
     if intpoly.degree(r) > ell - 3:
         raise AssertionError("remainder degree exceeds dim - 3")
     alternating_r = tuple(
@@ -379,8 +385,8 @@ def remainder_division(arr: Arrangement, h: int) -> RemainderReport:
         r=r,
         r0=r0,
         alternating_r=alternating_r,
-        chi0=chi0,
-        chi0_restriction=chi0_res,
+        chi0=_chi0(lattice.restriction_chi(0, 0)),
+        chi0_restriction=_chi0(lattice.restriction_chi(1, atom)),
     )
 
 
@@ -419,12 +425,13 @@ def free3_decide(arr: Arrangement) -> Rank3FreenessReport:
     """
     if len(arr) == 0:
         raise ValueError("freeness decision needs a nonempty arrangement")
-    if rank_of(arr) != 3:
-        raise ValueError(f"expected a rank-3 arrangement, got rank {rank_of(arr)}")
+    lattice = build_lattice(arr)
+    if len(lattice.level_sizes()) != 4:
+        raise ValueError(f"expected a rank-3 arrangement, got rank {len(lattice.level_sizes()) - 1}")
     witness = 0
     d1, d2 = exp2(ziegler_restriction(arr, witness))
     b2z = d1 * d2
-    b2d = char_data(arr).b2_dec
+    b2d = char_data(arr, lattice).b2_dec
     gap = b2d - b2z
     if gap < 0:
         raise AssertionError(f"b2 gap {gap} is negative")
@@ -434,20 +441,25 @@ def free3_decide(arr: Arrangement) -> Rank3FreenessReport:
 
 
 def local_codim3_division_check(arr: Arrangement, h: int):
-    """Check the restriction's chi against the full chi on every rank-3
-    localization along h; returns (all_divide, violating flats of A^H)."""
+    """Does chi((A^H)_Y) divide chi(A_Y) for every codimension-3 flat Y of A
+    on H = H_h?  Returns (all_divide, violating flats of A^H).
+
+    Both localizations are minors of L(A): with S the hyperplanes outside Y,
+    A_Y = A - S and (A^H)_Y = (A - S)^H, so both charpolys are read off one
+    lattice.  The violations come in ascending index of Y at level 3 of
+    L(A), each as the flat of A^H of the restricted hyperplanes whose traces
+    lie in Y."""
     if arr.dim < 3:
         raise ValueError("local division check needs ambient dimension >= 3")
-    restricted, trace = restrict_to_hyperplane(arr, h)
+    lattice = build_lattice(arr)
+    atom, everything, sizes = lattice.atom(h), (1 << len(arr)) - 1, lattice.level_sizes()
     violations = []
-    for flat in rank2_flats(restricted):
-        members_in_arr = {h}
-        for j in flat.members:
-            members_in_arr.update(trace[j])
-        local_full = localization(arr, flat_from_members(arr, members_in_arr))
-        local_res = localization(restricted, flat)
-        chi_full = char_data(local_full).chi
-        chi_res = char_data(local_res).chi
-        if not intpoly.divides(chi_res, chi_full):
-            violations.append(flat)
-    return (not violations, tuple(violations))
+    for index in range(sizes[3] if len(sizes) > 3 else 0):
+        y = lattice.mask(3, index)
+        if y >> h & 1 and not intpoly.divides(lattice.restriction_chi(1, atom, everything & ~y),
+                                              lattice.restriction_chi(0, 0, everything & ~y)):
+            violations.append(y)
+    restricted, trace = restrict_to_hyperplane(arr, h)
+    flats = tuple(Flat(restricted, 2, tuple(j for j, t in enumerate(trace) if y >> t[0] & 1))
+                  for y in violations)
+    return not flats, flats

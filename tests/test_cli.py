@@ -24,7 +24,7 @@ from divflag.jsonio import (
     verify_certificate,
 )
 from divflag.catalog import edelman_reiner_restriction, intermediate, weyl_b, xyzw_example
-from divflag.freeness import IF_CERTIFIED, inductively_free
+from divflag.freeness import IF_CERTIFIED, divisional_flag_search, inductively_free
 from divflag.lattice import char_data
 from divflag.exactalg import PrimeField, QQ
 from divflag.arrangement import make_arrangement
@@ -323,6 +323,99 @@ def test_remainder_and_same_eq():
 def test_hdf_check():
     assert run(["hdf-check", "--catalog", "boolean", "--l", "3"]) == 0
     assert run(["hdf-check", "--catalog", "xyzw"]) == 2
+
+
+@pytest.mark.parametrize("argv,files,message", [
+    pytest.param(["catalog", "weyl-d", "--l", "1"], {}, "type D needs rank >= 2", id="catalog-parameter"),
+    pytest.param(["verify-cert", "arr.json", "cert.json"],
+                 {"cert.json": {"kind": "inductive-freeness", "field": {"Fp": 4}, "dim": 3,
+                                "steps": []}}, "4 is not prime", id="if-field-not-prime"),
+    pytest.param(["charpoly", "arr.json"], {"arr.json": '{"field": "Q", "dim": '},
+                 "Expecting value", id="bad-json"),
+    pytest.param(["charpoly", "missing.json"], {}, "No such file or directory", id="missing-file"),
+    pytest.param(["verify-cert", "arr.json", "cert.json"],
+                 {"cert.json": {"kind": "divisional-flag", "exponents": None, "levels": [
+                     {"members": [], "charpoly": [0, -15, 23, -9, 1]},
+                     {"members": [9], "charpoly": [0, 3, -4, 1]}]}},
+                 "hyperplane index 9 out of range", id="member-out-of-range"),
+])
+def test_input_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(["catalog", "weyl-b", "--l", "3", "--emit", "arr.json"]) == 0
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def _json_paths(doc, path=()):
+    """The path of every value inside a JSON document, depth first."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield path + (key,)
+            yield from _json_paths(value, path + (key,))
+
+
+# bools, strings, floats, huge ints and empty containers in place of a value
+FUZZ_VALUES = (True, False, "x", "1/2", 1.5, 2.0, 10**40, -(10**40), [], {}, None)
+
+
+def _mutant(rng, doc):
+    """A copy of doc with one value dropped, renamed, replaced or truncated."""
+    doc = json.loads(json.dumps(doc))
+    *where, key = rng.choice(list(_json_paths(doc)))
+    parent = doc
+    for step in where:
+        parent = parent[step]
+    value = parent[key]
+    kinds = ["drop", "replace"] + ["rename"] * isinstance(parent, dict) + ["truncate"] * (
+        isinstance(value, list) and bool(value))
+    kind = rng.choice(kinds)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "rename":
+        parent[key + "_"] = parent.pop(key)
+    elif kind == "replace":
+        parent[key] = rng.choice(FUZZ_VALUES)
+    else:
+        del value[rng.randrange(len(value)):]
+    return doc
+
+
+def test_verify_cert_mutation_fuzz(tmp_path, capsys):
+    # a mutant is an input error (exit 1, one line), invalid (exit 2), or
+    # valid (exit 0), and then the arrangement has what the certificate claims
+    rng = random.Random(20151)
+    arr_path, cert_path = tmp_path / "arr.json", tmp_path / "cert.json"
+    verdicts, codes = {}, set()
+    for catalog in (["edelman-reiner"], ["weyl-b", "--l", "3"], ["intermediate", "--l", "3", "--k", "1",
+                                                                   "--r", "3", "--p", "7"]):
+        assert run(["catalog", *catalog, "--emit", str(arr_path)]) == 0
+        arr_doc = json.loads(arr_path.read_text())
+        for check in ("df-check", "if-check"):
+            assert run([check, str(arr_path), "--certificate", str(cert_path)]) == 0
+            cert_doc = json.loads(cert_path.read_text())
+            for _ in range(100):
+                mutate_arrangement = rng.random() < 0.5
+                arr_path.write_text(json.dumps(_mutant(rng, arr_doc) if mutate_arrangement else arr_doc))
+                cert_path.write_text(json.dumps(cert_doc if mutate_arrangement else _mutant(rng, cert_doc)))
+                capsys.readouterr()
+                code = run(["verify-cert", str(arr_path), str(cert_path)])
+                err = capsys.readouterr().err
+                codes.add(code)
+                assert (err.startswith("error: ") and err.count("\n") == 1) if code == 1 else err == ""
+                if code == 0:
+                    arr = load_arrangement(str(arr_path))
+                    kind = json.loads(cert_path.read_text())["kind"]
+                    if (arr, kind) not in verdicts:
+                        verdicts[arr, kind] = (divisional_flag_search(arr) is not None
+                                               if kind == "divisional-flag"
+                                               else inductively_free(arr).status == IF_CERTIFIED)
+                    assert verdicts[arr, kind]
+            arr_path.write_text(json.dumps(arr_doc))
+    assert codes == {0, 1, 2}
 
 
 def test_usage_errors():

@@ -4,6 +4,7 @@ import pytest
 
 from divflag import intpoly
 from divflag.arrangement import (
+    Flat,
     deletion,
     essentialize,
     flat_from_members,
@@ -144,6 +145,50 @@ def test_df_via_b2_rejects_nondividing_flag():
                     assert lhs > rhs
                     return
     pytest.fail("expected some non-divisional flag")
+
+
+def _malformed_flag(case):
+    """The Edelman–Reiner restriction and a flag that ``_flag_flats`` or
+    ``flag_b2_bound`` must reject, changed from its divisional flag."""
+    B = edelman_reiner_restriction()
+    top, line, plane = divisional_flag_search(B).flats
+    h = line.members[0]
+    level2 = build_lattice(B).levels[2]
+    apart = next(f for f in level2 if h not in f.members)
+    wide = next(f for f in level2 if h in f.members and len(f.members) > 2)
+    unclosed = Flat(B, 2, (h, next(k for k in wide.members if k != h)))
+    return B, {
+        "empty": (),
+        "other-arrangement": (top_flat(xyzw_example()), line, plane),
+        "codimension": (top, Flat(B, 2, line.members), plane),
+        "not-nested": (top, line, apart),
+        "not-closed": (top, line, unclosed),
+        "short": (top, line),
+    }[case]
+
+
+FLAG_ERRORS = [
+    ("empty", "^empty flag$"),
+    ("other-arrangement", "^flag flat belongs to a different arrangement$"),
+    ("codimension", "^flag flat 1 has codimension 2$"),
+    ("not-nested", "^flag flats are not nested$"),
+    ("not-closed", "^flag member lists must be closed$"),
+]
+
+
+@pytest.mark.parametrize("check", [flag_b2_bound, df_via_b2], ids=["flag_b2_bound", "df_via_b2"])
+@pytest.mark.parametrize("case,message", FLAG_ERRORS, ids=[case for case, _ in FLAG_ERRORS])
+def test_flag_validation_errors(case, message, check):
+    arr, flag = _malformed_flag(case)
+    with pytest.raises(ValueError, match=message):
+        check(arr, flag)
+
+
+def test_df_via_b2_rejects_short_flag():
+    arr, flag = _malformed_flag("short")
+    flag_b2_bound(arr, flag)  # a partial flag has a bound
+    with pytest.raises(ValueError, match="^flag must reach codimension dim - 2$"):
+        df_via_b2(arr, flag)
 
 
 def _all_flags(lattice):

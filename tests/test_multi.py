@@ -1,3 +1,4 @@
+import collections
 import fractions
 import random
 import sys
@@ -6,18 +7,29 @@ from math import comb, gcd, lcm
 import pytest
 
 from divflag import intpoly
-from divflag.arrangement import localization, make_arrangement
+from divflag import arrangement, lattice
+from divflag.arrangement import (
+    flat_from_members,
+    localization,
+    make_arrangement,
+    restrict_to_hyperplane,
+)
 from divflag.catalog import (
+    RootSystemSpec,
     boolean,
     braid,
     edelman_reiner_restriction,
+    intermediate,
     pentagon_cone,
+    shi,
+    weyl_b,
+    weyl_d,
     xyzw_example,
     xyzw_restriction,
 )
 from divflag import multi
 from divflag.exactalg import PrimeField, QQ, int_rref
-from divflag.lattice import char_data
+from divflag.lattice import build_lattice, char_data, rank2_flats
 from divflag.multi import (
     MultiArrangement,
     Multiplicity,
@@ -637,10 +649,12 @@ def test_free3_boolean():
 
 
 def test_free3_requires_rank3():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a rank-3 arrangement, got rank 2$"):
         free3_decide(boolean(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected a rank-3 arrangement, got rank 2$"):
         free3_decide(braid(3))  # rank 2 inside dim 3
+    with pytest.raises(ValueError, match="^expected a rank-3 arrangement, got rank 4$"):
+        free3_decide(boolean(4))
 
 
 def test_free3_matches_terao_split():
@@ -665,9 +679,7 @@ def test_local_codim3_xyzw_all_divide():
 
 def test_local_codim3_localization_polys():
     A = xyzw_example()
-    from divflag.arrangement import restrict_to_hyperplane, flat_from_members
     restricted, trace = restrict_to_hyperplane(A, 3)
-    from divflag.lattice import rank2_flats
     for flat in rank2_flats(restricted):
         members = {3}
         for j in flat.members:
@@ -676,6 +688,113 @@ def test_local_codim3_localization_polys():
         assert char_data(loc).chi == intpoly.mul((0, 1), intpoly.from_roots([1, 1, 1]))
         loc_res = localization(restricted, flat)
         assert char_data(loc_res).chi == intpoly.mul((0, 1), intpoly.from_roots([1, 1]))
+
+
+def _reference_local_codim3_division_check(arr, h):
+    """The geometric local check that one lattice replaced: it restricts and
+    localizes in coordinates, with two lattice builds per codimension-2 flat
+    of A^H, and lists the violations in the order of A^H's own lattice."""
+    if arr.dim < 3:
+        raise ValueError("local division check needs ambient dimension >= 3")
+    restricted, trace = restrict_to_hyperplane(arr, h)
+    violations = []
+    for flat in rank2_flats(restricted):
+        members_in_arr = {h}
+        for j in flat.members:
+            members_in_arr.update(trace[j])
+        local_full = localization(arr, flat_from_members(arr, members_in_arr))
+        local_res = localization(restricted, flat)
+        chi_full = char_data(local_full).chi
+        chi_res = char_data(local_res).chi
+        if not intpoly.divides(chi_res, chi_full):
+            violations.append(flat)
+    return (not violations, tuple(violations))
+
+
+def _assert_local_check_matches_reference(arr):
+    lat = build_lattice(arr)
+    for h in range(len(arr)):
+        ok, violations = local_codim3_division_check(arr, h)
+        ref_ok, ref_violations = _reference_local_codim3_division_check(arr, h)
+        restricted, trace = restrict_to_hyperplane(arr, h)
+        assert ok == ref_ok == (not violations)
+        assert all(flat.parent == restricted and flat.codim == 2 for flat in violations)
+        members = lambda flat: flat.members
+        assert sorted(violations, key=members) == sorted(ref_violations, key=members)
+        # in ascending index of Y = H_h ∧ (the traces of the flat's members) in L(A)
+        where = [lat.locate({h}.union(*(trace[j] for j in flat.members))) for flat in violations]
+        assert [level for level, _ in where] == [3] * len(where)
+        assert [index for _, index in where] == sorted({index for _, index in where})
+
+
+LOCAL_CHECK_INPUTS = [
+    ("edelman-reiner", edelman_reiner_restriction()),
+    ("xyzw", xyzw_example()),
+    ("pentagon-cone-11", pentagon_cone(11).arrangement),
+    ("pentagon-cone-31", pentagon_cone(31).arrangement),
+    ("weyl-b4", weyl_b(4)),
+    ("weyl-d4", weyl_d(4)),
+    ("braid-5", braid(5)),
+    ("intermediate-4-1", intermediate(4, 1, 3, 7)),
+    ("shi-b3-k1", shi(RootSystemSpec("B", 3), 1)),
+]
+
+
+@pytest.mark.parametrize("name,arr", LOCAL_CHECK_INPUTS, ids=[n for n, _ in LOCAL_CHECK_INPUTS])
+def test_local_check_matches_reference_catalog(name, arr):
+    _assert_local_check_matches_reference(arr)
+
+
+def test_local_check_violations_in_lattice_order():
+    # Shi B3 fails on three flats at hyperplane 4; the reference lists them
+    # in the order of A^H's lattice, the check in the order of Y in L(A)
+    arr = shi(RootSystemSpec("B", 3), 1)
+    ok, violations = local_codim3_division_check(arr, 4)
+    assert not ok
+    assert [flat.members for flat in violations] == [(2, 3, 4), (2, 8), (4, 5, 6, 8)]
+    ref_violations = _reference_local_codim3_division_check(arr, 4)[1]
+    assert [flat.members for flat in ref_violations] == [(4, 5, 6, 8), (2, 8), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_local_check_matches_reference_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(211 if p is None else 211 + p)
+    for dim in (3, 4, 5):
+        for _ in range(3):
+            most = 9 if p is None else min(9, (p ** dim - 1) // (p - 1))
+            _assert_local_check_matches_reference(
+                random_arrangement(rng, dim, rng.randint(3, most), field=field))
+    # rank 3 padded to dimension 5
+    for _ in range(3):
+        arr = random_arrangement(rng, 3, rng.randint(4, 7), field=field)
+        _assert_local_check_matches_reference(
+            make_arrangement(field, 5, [list(cov) + [0, 0] for cov in arr.hyperplanes]))
+
+
+def test_local_check_reads_one_lattice(monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, names in ((multi, ("build_lattice", "char_data", "localization", "rank2_flats")),
+                          (lattice, ("build_lattice", "char_data", "rank2_flats")),
+                          (arrangement, ("localization", "flat_from_members"))):
+        for name in names:
+            count(module, name)
+    assert not hasattr(multi, "flat_from_members") and not hasattr(multi, "rank_of")
+    pent = pentagon_cone(31)
+    for arr, h in ((pent.arrangement, pent.infinite_index), (weyl_b(4), 0)):
+        calls.clear()
+        local_codim3_division_check(arr, h)
+        assert calls == {"build_lattice": 1}
 
 
 def test_boolean_local_division_clean():
@@ -781,8 +900,7 @@ def test_exp2_kernel_vectors_satisfy_containment(field):
 def test_exp2_pentagon_directions():
     # the five direction lines of the pentagon with multiplicity 2 are
     # balanced: exponents (5, 5), not the generic (4, 6)
-    from divflag.catalog import pentagon_cone
-    from divflag.arrangement import essentialize, flat_from_members, restrict_to_hyperplane
+    from divflag.arrangement import essentialize
     pent = pentagon_cone(31)
     B = pent.arrangement
     BH, trace = restrict_to_hyperplane(B, pent.infinite_index)
