@@ -154,6 +154,9 @@ def flag_b2_bound(arr: Arrangement, flag) -> tuple[int, int]:
     where = [lattice.locate(flat.members) for flat in flats]
     if None in where:
         raise ValueError("flag member lists must be closed")
+    for i, (level, _) in enumerate(where):
+        if level != i:
+            raise ValueError(f"flag flat {i} has the members of a flat of codimension {level}")
     sizes = [len(lattice.covers[level][index]) for level, index in where]
     rhs = 0
     for i in range(len(flats) - 1):
@@ -193,21 +196,23 @@ class IFCertificate:
         """Check the steps on one build of L(A): they add the target's
         hyperplanes over its field and dimension, and each step on H is
         χ((A − S)^H), S the hyperplanes added later, and in dimension 3 or
-        more divides the charpoly before the step."""
+        more divides the charpoly before the step.  That charpoly is kept
+        from t^ℓ, at S = A, by deletion–restriction: adding H subtracts
+        χ((A − S)^H)."""
         added = make_arrangement(self.field, self.dim, [step.covector for step in self.steps])
         if (self.field, self.dim, sorted(added.hyperplanes)) != (
                 target.field, target.dim, sorted(target.hyperplanes)):
             return False
         lattice = build_lattice(target)
         index = {cov: h for h, cov in enumerate(target.hyperplanes)}
-        deleted = (1 << len(target)) - 1
+        deleted, chi = (1 << len(target)) - 1, intpoly.poly([0] * self.dim + [1])
         for cov, step in zip(added.hyperplanes, self.steps):
             h = index[cov]
-            before, deleted = deleted, deleted & ~(1 << h)
+            deleted &= ~(1 << h)
             chi_res = lattice.restriction_chi(1, lattice.atom(h), deleted)
-            if chi_res != step.restriction_chi or self.dim >= 3 and not intpoly.divides(
-                    chi_res, lattice.restriction_chi(0, 0, before)):
+            if chi_res != step.restriction_chi or self.dim >= 3 and not intpoly.divides(chi_res, chi):
                 return False
+            chi = intpoly.sub(chi, chi_res)
         return True
 
 
@@ -230,7 +235,9 @@ class _IFSearch:
     """Addition–deletion search on the minors (A − S)^X of one lattice, for a
     flat X and a bitmask S of deleted hyperplanes of A.  The hyperplanes of
     the minor are the covers Y of X with a member outside X and S: restricting
-    to Y moves X to Y, and deleting Y adds its members outside X to S."""
+    to Y moves X to Y, and deleting Y adds its members outside X to S.  The
+    deletion's charpoly is read off the minor's and the restriction's, which
+    the search already holds (``IntersectionLattice.deletion_chi``)."""
 
     def __init__(self, lattice: IntersectionLattice, budget: int):
         self.lattice = lattice
@@ -259,9 +266,8 @@ class _IFSearch:
             return _EXHAUSTED
         exhausted = False
         for k in _candidates(lat, level, index, deleted):
-            removed = deleted | lat.mask(level + 1, k) & ~base
             if not intpoly.divides(lat.restriction_chi(level + 1, k, deleted),
-                                   lat.restriction_chi(level, index, removed)):
+                                   lat.deletion_chi(level, index, deleted, k)):
                 continue
             sub = self.search(level + 1, k, deleted)
             if sub is _EXHAUSTED:
@@ -269,7 +275,7 @@ class _IFSearch:
                 continue
             if sub is not True:
                 continue
-            sub = self.search(level, index, removed)
+            sub = self.search(level, index, deleted | lat.mask(level + 1, k) & ~base)
             if sub is _EXHAUSTED:
                 exhausted = True
                 continue
@@ -345,7 +351,7 @@ def rank3_triple_conditions(arr: Arrangement, h: int, d1: int, d2: int) -> Rank3
     extra = arr.dim - 3
     return Rank3Conditions(
         chi_splits=lattice.restriction_chi(0, 0)[extra:] == intpoly.from_roots([1, d1, d2]),
-        deleted_chi_matches=(lattice.restriction_chi(0, 0, 1 << h)[extra:]
+        deleted_chi_matches=(lattice.deletion_chi(0, 0, 0, atom)[extra:]
                              == intpoly.from_roots([1, d1, d2 - 1])),
         restriction_size_matches=len(lattice.covers[1][atom]) == d1 + 1,
     )
@@ -370,9 +376,8 @@ def division_addition_check(arr: Arrangement, covector) -> bool:
     the original arrangement."""
     extended = add_hyperplane(arr, covector)
     lattice = build_lattice(extended)
-    added = len(arr)
-    return intpoly.divides(lattice.restriction_chi(1, lattice.atom(added)),
-                           lattice.restriction_chi(0, 0, 1 << added))
+    atom = lattice.atom(len(arr))
+    return intpoly.divides(lattice.restriction_chi(1, atom), lattice.deletion_chi(0, 0, 0, atom))
 
 
 @dataclass(frozen=True)
@@ -409,7 +414,7 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
     n_res = len(lattice.covers[1][atom])  # |A^H|
     chi = lattice.restriction_chi(0, 0)
     chi_res = lattice.restriction_chi(1, atom)
-    chi_del = lattice.restriction_chi(0, 0, 1 << h)
+    chi_del = lattice.deletion_chi(0, 0, 0, atom)
     cond4 = intpoly.divides(chi_res, chi)
     cond5 = intpoly.divides(chi_res, chi_del)
     cond6 = intpoly.degree(intpoly.gcd_monic(chi, chi_del)) == ell - 1
@@ -418,8 +423,7 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
         cond8 = cond5
     else:
         cond7 = intpoly.coeff(chi0_remainder(lattice, h)[1], ell - 3) == 0
-        cond8 = cond5 if len(arr) == 1 else intpoly.coeff(
-            chi0_remainder(lattice, h, 1 << h)[1], ell - 3) == 0
+        cond8 = intpoly.coeff(chi0_remainder(lattice, h, 1 << h)[1], ell - 3) == 0
     res_rank = len(lattice.level_sizes()) - 2  # the interval above H_h
     certified: bool | None
     if res_rank <= 2:

@@ -124,38 +124,71 @@ class IntersectionLattice:
         return sum(c for c in self._classes[level][index] if not c & ~deleted)
 
     def restriction_chi(self, level: int, index: int, deleted: int = 0) -> intpoly.IntPoly:
-        """χ((A − S)^X; t) = Σ_Z μ(X, Z) t^{dim Z} for X = levels[level][index],
-        S the bitmask ``deleted``, over the flats Z = W ∧ K of the minor: W its
-        flat one level down, K ∉ S.  Weisner's theorem with the atom K =
-        max(members Z − members X − S) gives μ(X, Z) = −Σ μ(X, W) over the
-        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅).
-        S is first reduced to ``deleted_classes``, so one minor is computed
-        once whichever S reaches it."""
+        """χ((A − S)^X; t) = Σ_Z μ(X, Z) t^{dim Z} for X = levels[level][index]
+        and S the bitmask ``deleted``.  S is first reduced to
+        ``deleted_classes``, so one minor is computed once whichever S
+        reaches it, and each result is cached.  χ(A), at X = V and S = ∅, is
+        the sum of each level's Möbius values, which the build computed by
+        the same recursion; every other minor takes one ``_weisner_walk``."""
         if deleted:
             deleted = self.deleted_classes(level, index, deleted)
         chi = self._chis.get((level, index, deleted))
         if chi is None:
             if not self.complete:
                 raise ValueError("restriction_chi needs the complete lattice")
-            dim, base = self.arrangement.dim, self._masks[level][index]
-            coeffs = [0] * (dim - level + 1)
-            coeffs[dim - level] = 1
-            current = {index: 1}  # μ(X, W) over the minor's flats W of one level
-            covers = self.covers
-            for lvl in range(level, len(self._masks) - 1):
-                lower, upper, ups = self._masks[lvl], self._masks[lvl + 1], covers[lvl]
-                atoms: dict[int, int] = {}  # upper flat -> bit of its K, 0 if none
-                sums: dict[int, int] = {}
-                for w, mu in current.items():
-                    for z in ups[w]:
-                        if z not in atoms:
-                            atoms[z] = 1 << (upper[z] & ~(base | deleted)).bit_length() >> 1
-                        if atoms[z] and not lower[w] & atoms[z]:
-                            sums[z] = sums.get(z, 0) + mu
-                current = {z: -s for z, s in sums.items()}
-                coeffs[dim - lvl - 1] = sum(current.values())
-            chi = self._chis[level, index, deleted] = intpoly.poly(coeffs)
+            if level == deleted == 0:
+                coeffs = [0] * (self.arrangement.dim + 1)
+                for codim, mob in enumerate(self.mobius):
+                    coeffs[-1 - codim] = sum(mob)
+                chi = intpoly.poly(coeffs)
+            else:
+                chi = self._weisner_walk(level, index, deleted)
+            self._chis[level, index, deleted] = chi
         return chi
+
+    def deletion_chi(self, level: int, index: int, deleted: int, k: int) -> intpoly.IntPoly:
+        """χ(M − H) for the minor M = (A − S)^X, X = levels[level][index] and S
+        the bitmask ``deleted``, and H the hyperplane of M given by the cover
+        Y = levels[level + 1][k] of X; M − H deletes members(Y) − members(X)
+        too.  By deletion–restriction (Orlik–Terao, *Arrangements of
+        Hyperplanes*, Thm 2.56), χ(M − H) = χ(M) + χ(M^H) with M^H =
+        (A − S)^Y, both through ``restriction_chi``.  The result is cached
+        where ``restriction_chi`` looks M − H up, so no walk computes it."""
+        cls = self._masks[level + 1][k] & ~self._masks[level][index]
+        if cls not in self._classes[level][index] or not cls & ~deleted:
+            raise ValueError(f"flat {k} at level {level + 1} is not a hyperplane of the minor")
+        key = (level, index, self.deleted_classes(level, index, deleted | cls))
+        chi = self._chis.get(key)
+        if chi is None:
+            chi = self._chis[key] = intpoly.add(self.restriction_chi(level, index, deleted),
+                                                self.restriction_chi(level + 1, k, deleted))
+        return chi
+
+    def _weisner_walk(self, level: int, index: int, deleted: int) -> intpoly.IntPoly:
+        """χ((A − S)^X) over the flats Z = W ∧ K of the minor: W its flat one
+        level down, K ∉ S.  Weisner's theorem with the atom K =
+        max(members Z − members X − S) gives μ(X, Z) = −Σ μ(X, W) over the
+        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅)."""
+        dim = self.arrangement.dim
+        coeffs = [0] * (dim - level + 1)
+        coeffs[dim - level] = 1
+        current = {index: 1}  # μ(X, W) over the minor's flats W of one level
+        covers, free = self.covers, ~(self._masks[level][index] | deleted)
+        for lvl in range(level, len(self._masks) - 1):
+            lower, upper, ups = self._masks[lvl], self._masks[lvl + 1], covers[lvl]
+            atoms: dict[int, int] = {}  # upper flat -> bit of its K, 0 if none
+            sums: dict[int, int] = {}
+            for w, mu in current.items():
+                below = lower[w]
+                for z in ups[w]:
+                    atom = atoms.get(z)
+                    if atom is None:
+                        atom = atoms[z] = 1 << (upper[z] & free).bit_length() >> 1
+                    if atom and not below & atom:
+                        sums[z] = sums.get(z, 0) + mu
+            current = {z: -s for z, s in sums.items()}
+            coeffs[dim - lvl - 1] = sum(current.values())
+        return intpoly.poly(coeffs)
 
 
 def _row_order(field, level):
@@ -342,15 +375,9 @@ def char_data(arr: Arrangement, lattice: IntersectionLattice | None = None) -> C
     elif not lattice.complete or lattice.arrangement != arr:
         raise ValueError("char_data needs the complete lattice of this arrangement")
     ell = arr.dim
-    chi_coeffs = [0] * (ell + 1)
-    poin_coeffs = [0] * (ell + 1)
-    for codim, mob in enumerate(lattice.mobius):
-        s = sum(mob)
-        chi_coeffs[ell - codim] += s
-        poin_coeffs[codim] += s if codim % 2 == 0 else -s
-    chi = intpoly.poly(chi_coeffs)
-    poincare = intpoly.poly(poin_coeffs)
+    chi = lattice.restriction_chi(0, 0)
     betti = tuple((-1) ** i * intpoly.coeff(chi, ell - i) for i in range(ell + 1))
+    poincare = intpoly.poly(betti)
     if len(arr) == 0:
         chi0 = None
         betti_dec = None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from divflag import intpoly
+from divflag import freeness, intpoly
 from divflag.arrangement import (
     Flat,
     deletion,
@@ -34,6 +34,7 @@ from divflag.freeness import (
     IF_EXHAUSTED,
     NOT_IF,
     DivisionalFlag,
+    EquivalenceReport,
     IFCertificate,
     IFStep,
     _FlagSearch,
@@ -49,7 +50,7 @@ from divflag.freeness import (
     rank3_division_remainder,
     rank3_triple_conditions,
 )
-from divflag.lattice import build_lattice, char_data
+from divflag.lattice import IntersectionLattice, build_lattice, char_data
 from divflag.multi import free3_decide, remainder_division
 
 from conftest import random_arrangement
@@ -163,6 +164,8 @@ def _malformed_flag(case):
         "codimension": (top, Flat(B, 2, line.members), plane),
         "not-nested": (top, line, apart),
         "not-closed": (top, line, unclosed),
+        # nested, of the declared codimensions, but () closes to the top flat
+        "closes-lower": (top, Flat(B, 1, ()), Flat(B, 2, ())),
         "short": (top, line),
     }[case]
 
@@ -173,6 +176,7 @@ FLAG_ERRORS = [
     ("codimension", "^flag flat 1 has codimension 2$"),
     ("not-nested", "^flag flats are not nested$"),
     ("not-closed", "^flag member lists must be closed$"),
+    ("closes-lower", "^flag flat 1 has the members of a flat of codimension 0$"),
 ]
 
 
@@ -972,3 +976,39 @@ def test_division_helpers_in_dimension_one():
     report = division_equivalences(line, 0)
     assert report.all_conditions() == (True,) * 5
     assert report.restriction_certified_free is True
+
+
+def test_equivalences_with_one_hyperplane_read_no_remainder(monkeypatch):
+    # one hyperplane restricts to the empty arrangement, so conditions 7
+    # and 8 are conditions 4 and 5, and no chi0 remainder is taken
+    monkeypatch.setattr(freeness, "chi0_remainder", None)
+    for dim in range(1, 5):
+        report = division_equivalences(make_arrangement(QQ, dim, [[1] * dim]), 0)
+        assert report == EquivalenceReport(True, True, True, True, True, True)
+
+
+def test_weisner_walks_are_counted(monkeypatch):
+    """Every one-step deletion is read off charpolys already computed:
+    Weyl B4's IF search takes 41 walks and its verify 16, one per step;
+    each division helper takes the walk for A^H only, and χ(A) none."""
+    walks = []
+    walk = IntersectionLattice._weisner_walk
+
+    def counted(lattice, level, index, deleted):
+        walks.append((level, index, deleted))
+        return walk(lattice, level, index, deleted)
+
+    monkeypatch.setattr(IntersectionLattice, "_weisner_walk", counted)
+    arr = weyl_b(4)
+    result = inductively_free(arr)
+    assert (result.status, result.nodes, len(walks)) == (IF_CERTIFIED, 47, 41)
+    del walks[:]
+    assert result.certificate.verify(arr)
+    assert len(walks) == 16 and all(level == 1 for level, _, _ in walks)
+    er = edelman_reiner_restriction()
+    for call in (lambda: division_equivalences(er, 3), lambda: division_check(er, 3),
+                 lambda: division_addition_check(deletion(er, 3), er.hyperplanes[3]),
+                 lambda: rank3_triple_conditions(xyzw_restriction(), 0, 1, 2)):
+        del walks[:]
+        call()
+        assert [level for level, _, _ in walks] == [1]

@@ -8,6 +8,7 @@ import pytest
 
 from divflag import exactalg, intpoly
 from divflag.arrangement import (
+    ArrangementError,
     Flat,
     deletion,
     flat_from_members,
@@ -23,11 +24,13 @@ from divflag.catalog import (
     build_entry,
     edelman_reiner_restriction,
     weyl_b,
+    weyl_d,
 )
 from divflag.exactalg import QQ, PrimeField, int_elimination, int_rref, integer_row
 from divflag.lattice import (
     BadPrimeError,
     EmptyArrangementError,
+    IntersectionLattice,
     build_lattice,
     char_data,
     point_count_oracle,
@@ -554,6 +557,100 @@ def test_restriction_chi_caches_one_entry_per_minor():
                 assert lat.restriction_chi(level, index, deleted) is \
                     lat.restriction_chi(level, index, classes)
     assert all(lat.deleted_classes(*key) == key[2] for key in lat._chis)
+
+
+def _assert_deletion_chi(arr, lat, fresh, geometric, level, index, deleted, k):
+    """deletion_chi(level, index, S, k) on ``lat``, its cache emptied first so
+    that the identity runs on walks, against restriction_chi of M − H on
+    ``fresh``, whose cache holds walks only, and against char_data of the
+    geometric minor, memoized in ``geometric`` by reduced key."""
+    removed = deleted | lat.mask(level + 1, k) & ~lat.mask(level, index)
+    lat._chis.clear()
+    chi = lat.deletion_chi(level, index, deleted, k)
+    assert chi == fresh.restriction_chi(level, index, removed)
+    key = (level, index, lat.deleted_classes(level, index, removed))
+    if key not in geometric:
+        geometric[key] = char_data(_geometric_minor(arr, lat, level, index, removed)).chi
+    assert chi == geometric[key]
+    assert lat.restriction_chi(level, index, removed) is chi  # cached for the walk's lookup
+
+
+@pytest.mark.parametrize("name,arr", [("weyl-b3", weyl_b(3)), ("braid4", braid(4))])
+def test_deletion_chi_every_minor(name, arr):
+    """Every flat X, every union S of its cover classes (the minors S can
+    reach) and every cover k whose class S leaves."""
+    lat, fresh, geometric = build_lattice(arr), build_lattice(arr), {}
+    for level, flats in enumerate(lat.levels[:arr.dim]):
+        for index in range(len(flats)):
+            base, ups = lat.mask(level, index), lat.covers[level][index]
+            classes = [lat.mask(level + 1, k) & ~base for k in ups]
+            for chosen in itertools.product((0, 1), repeat=len(classes)):
+                deleted = sum(c for c, x in zip(classes, chosen) if x)
+                for k, c in zip(ups, classes):
+                    if not c & deleted:
+                        _assert_deletion_chi(arr, lat, fresh, geometric, level, index, deleted, k)
+
+
+def _deletion_chi_arrangements(field, rng):
+    """B4, D4 and braid 5 over the field where their hyperplanes stay
+    distinct (over F_2 only braid 5), and two seeded random arrangements."""
+    for arr in (weyl_b(4), weyl_d(4), braid(5)):
+        try:
+            yield make_arrangement(field, arr.dim, arr.hyperplanes)
+        except ArrangementError:
+            pass
+    for dim in (3, 4):
+        available = 9 if field == QQ else (field.p ** dim - 1) // (field.p - 1)
+        yield random_arrangement(rng, dim, min(available, 9), field=field)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_deletion_chi_seeded_minors(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(607 if p is None else 607 + p)
+    for arr in _deletion_chi_arrangements(field, rng):
+        lat, fresh, geometric = build_lattice(arr), build_lattice(arr), {}
+        flats = [(level, index) for level, size in enumerate(lat.level_sizes()[:arr.dim])
+                 for index in range(size) if lat.covers[level][index]]
+        for _ in range(30):
+            level, index = rng.choice(flats)
+            k = rng.choice(lat.covers[level][index])
+            cls = lat.mask(level + 1, k) & ~lat.mask(level, index)
+            # any S that leaves one hyperplane of the cover's class
+            deleted = rng.getrandbits(len(arr)) & ~(cls & -cls)
+            _assert_deletion_chi(arr, lat, fresh, geometric, level, index, deleted, k)
+
+
+def test_deletion_chi_rejects_a_deleted_or_foreign_cover():
+    lat = build_lattice(weyl_b(3))
+    k = lat.covers[1][0][0]
+    cls = lat.mask(2, k) & ~lat.mask(1, 0)
+    foreign = next(j for j in range(lat.level_sizes()[2]) if j not in lat.covers[1][0])
+    for deleted, cover in ((cls, k), (cls | lat.mask(1, 0), k), (0, foreign)):
+        with pytest.raises(ValueError, match=f"^flat {cover} at level 2 is not a hyperplane of the minor$"):
+            lat.deletion_chi(1, 0, deleted, cover)
+
+
+def test_chi_from_mobius_matches_whitney(monkeypatch):
+    """χ(A) read off the build's Möbius values against the subset sum, with
+    the walk made to fail; char_data reads the same values, so it is no
+    check of them.  The walk at X = V and S = ∅ agrees too."""
+    rng = random.Random(613)
+    arrangements = [a for _, a in _catalog_arrangements() if len(a) <= 12]
+    arrangements.append(make_arrangement(QQ, 3, []))
+    for p in (None, 2, 3, 5, 7):
+        field = QQ if p is None else PrimeField(p)
+        for dim in range(2, 5):
+            available = 9 if p is None else (p ** dim - 1) // (p - 1)
+            arrangements += [random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
+                             for _ in range(4)]
+    walk = IntersectionLattice._weisner_walk
+    with monkeypatch.context() as patch:
+        patch.setattr(IntersectionLattice, "_weisner_walk", None)
+        for arr in arrangements:
+            assert build_lattice(arr).restriction_chi(0, 0) == whitney_oracle(arr)
+    for arr in arrangements:
+        assert walk(build_lattice(arr), 0, 0, 0) == whitney_oracle(arr)
 
 
 def test_atom():
