@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intpoly
-from .arrangement import (
-    Arrangement,
-    Flat,
-    add_hyperplane,
-    make_arrangement,
-    restrict_to_hyperplane,
-)
+from .arrangement import Arrangement, Flat, add_hyperplane, make_arrangement
 from .lattice import IntersectionLattice, build_lattice, char_data
-from .multi import chi0_remainder, free3_decide
+from .multi import chi0_remainder, ziegler_gap
 
 
 @dataclass(frozen=True)
@@ -425,13 +419,9 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
         cond7 = intpoly.coeff(chi0_remainder(lattice, h)[1], ell - 3) == 0
         cond8 = intpoly.coeff(chi0_remainder(lattice, h, 1 << h)[1], ell - 3) == 0
     res_rank = len(lattice.level_sizes()) - 2  # the interval above H_h
-    certified: bool | None
-    if res_rank <= 2:
-        certified = True
-    elif res_rank == 3:
-        certified = free3_decide(restrict_to_hyperplane(arr, h).arrangement).free
-    else:
-        certified = None
+    # A^H of rank <= 2 is free, one of rank 3 exactly when its b2 gap is 0
+    certified = True if res_rank <= 2 else (
+        ziegler_gap(lattice, 1, atom, lattice.covers[1][atom][0])[0] == 0 if res_rank == 3 else None)
     report = EquivalenceReport(cond4, cond5, cond6, cond7, cond8, certified)
     if certified:
         conditions = report.all_conditions()

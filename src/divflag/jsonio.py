@@ -20,7 +20,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from . import intpoly
-from .arrangement import Arrangement, Flat, flat_from_members, make_arrangement
+from .arrangement import Arrangement, Flat, make_arrangement
 from .exactalg import covector_to_json, field_from_json, field_to_json, normalize_covector
 from .freeness import DivisionalFlag, IFCertificate, IFStep
 
@@ -175,16 +175,16 @@ def flag_from_json(arr: Arrangement, data) -> DivisionalFlag:
         raise SchemaError("certificate needs a nonempty 'levels' list")
     flats = []
     charpolys = []
-    for entry in levels:
+    for i, entry in enumerate(levels):
         if not isinstance(entry, dict):
             raise SchemaError("each level must be an object")
         members = entry.get("members")
         if not isinstance(members, list) or not all(_is_int(h) for h in members):
             raise SchemaError("each level needs a 'members' list of hyperplane indices")
-        # the listed members are the certificate's claim; verify checks that
-        # they are closed, so they are kept as listed rather than closed here
-        span = flat_from_members(arr, members)
-        flats.append(Flat(arr, span.codim, tuple(members)))
+        if bad := [h for h in members if not 0 <= h < len(arr)]:
+            raise IndexError(f"hyperplane index {min(bad)} out of range")
+        # kept as listed: verify checks that they close to a flat of codimension i
+        flats.append(Flat(arr, i, tuple(members)))
         charpolys.append(poly_from_json(entry.get("charpoly")))
     exponents = data.get("exponents")
     if exponents is not None and (

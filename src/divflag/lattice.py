@@ -115,7 +115,11 @@ class IntersectionLattice:
         """Index at level 1 of hyperplane h."""
         if not 0 <= h < len(self.arrangement):
             raise IndexError(f"hyperplane index {h} out of range")
-        return self.locate((h,))[1]
+        return self._masks[1].index(1 << h)
+
+    def cover_classes(self, level: int, index: int) -> tuple[int, ...]:
+        """The cover classes of X = levels[level][index], one per hyperplane of A^X."""
+        return self._classes[level][index]
 
     def deleted_classes(self, level: int, index: int, deleted: int) -> int:
         """The union of the cover classes members(Y) − members(X) of

@@ -1,6 +1,7 @@
 """Multiarrangement machinery: Ziegler restrictions, exact exponents of
 rank-2 multiarrangements, the local-global second Betti number, remainder
-divisions, and the exact rank-3 freeness decision.
+divisions, and the exact rank-3 freeness decision; the b2 gap of a Ziegler
+restriction has one home, ``ziegler_gap``, on one L(A) and one restriction.
 
 Rank-2 exponents are the workhorse.  When the total multiplicity is small
 (|m| <= 2|A| - 1) they are given by a closed form.  Otherwise a rank-2
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from . import intpoly
-from .arrangement import Arrangement, Flat, localization, restrict_to_hyperplane
+from .arrangement import Arrangement, Flat, restrict_to_hyperplane, restriction
 from .exactalg import Field, int_elimination, int_rref
-from .lattice import IntersectionLattice, build_lattice, char_data, rank2_flats
+from .lattice import IntersectionLattice, build_lattice, rank2_flats
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,8 @@ class Multiplicity:
         return sum(self.values)
 
     def bump(self, h: int, delta: int) -> "Multiplicity":
+        if not 0 <= h < len(self.values):
+            raise IndexError(f"hyperplane index {h} out of range")
         vals = list(self.values)
         vals[h] += delta
         return Multiplicity(tuple(vals))
@@ -289,6 +292,8 @@ def _independent_second(field: Field, theta1, d1, kernel, d):
 def euler_mult_rank2(ma: MultiArrangement, h: int) -> int:
     """Euler multiplicity at the center of a rank-2 multiarrangement: the
     exponent shared between the multiplicity and its drop at h."""
+    if not 0 <= h < len(ma.base):
+        raise IndexError(f"hyperplane index {h} out of range")
     if ma.mult.values[h] < 2:
         raise ValueError("Euler multiplicity step needs multiplicity at least 2")
     e = exp2(ma).as_multiset()
@@ -311,17 +316,41 @@ def _multiset_intersection(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _local_exponents(arr: Arrangement, mults, flats) -> tuple[Exponents2, ...]:
+    """exp2 of (arr, mults) localized at each flat, given by its members."""
+    return tuple(exp2(MultiArrangement(
+        Arrangement(arr.field, arr.dim, tuple(arr.hyperplanes[h] for h in members)),
+        Multiplicity(tuple(mults[h] for h in members)))) for members in flats)
+
+
 def b2_multi(ma: MultiArrangement) -> int:
     """Second Betti number of a multiarrangement via the local-global
     formula: the sum of exponent products over the codimension-2 flats."""
-    base = ma.base
-    total = 0
-    for flat in rank2_flats(base):
-        local = localization(base, flat)
-        local_mult = Multiplicity(tuple(ma.mult.values[h] for h in flat.members))
-        d1, d2 = exp2(MultiArrangement(local, local_mult))
-        total += d1 * d2
-    return total
+    flats = (flat.members for flat in rank2_flats(ma.base))
+    return sum(d1 * d2 for d1, d2 in _local_exponents(ma.base, ma.mult.values, flats))
+
+
+def ziegler_gap(lattice: IntersectionLattice, level: int, index: int, k: int) -> tuple:
+    """(gap, b2, local exponents) of the Ziegler restriction of A^X, X =
+    levels[level][index], onto Y = levels[level + 1][k]: gap is b2(A^X)
+    after deconing less the local-global b2 of its exponents at the flats
+    W ⊇ Y two levels above Y; at rank 3, gap = 0 exactly when A^X is free
+    (Yoshinaga, *Invent. Math.* 157, 2004).  Trace class j of one
+    restriction of A onto Y is the cover Y ∪ trace[j], of multiplicity the
+    number of X's cover classes inside it, less one."""
+    arr, y = lattice.arrangement, lattice.mask(level + 1, k)
+    restricted, trace = restriction(arr, lattice.flat(level + 1, k))
+    mults = [sum(1 for c in lattice.cover_classes(level, index) if not c & ~z) - 1
+             for z in (y | sum(1 << h for h in t) for t in trace)]
+    sizes = lattice.level_sizes()
+    walls = (lattice.mask(level + 3, i) for i in range(sizes[level + 3] if len(sizes) > level + 3 else 0))
+    exponents = _local_exponents(restricted, mults, (
+        [j for j, t in enumerate(trace) if w >> t[0] & 1] for w in walls if not y & ~w))
+    b2 = intpoly.coeff(_chi0(lattice.restriction_chi(level, index)), arr.dim - level - 3)
+    gap = b2 - sum(d1 * d2 for d1, d2 in exponents)
+    if gap < 0:
+        raise AssertionError(f"b2 gap {gap} is negative")
+    return gap, b2, exponents
 
 
 @dataclass(frozen=True)
@@ -397,10 +426,8 @@ def b2_gap(arr: Arrangement, h: int) -> int:
         raise ValueError("b2 gap needs a nonempty arrangement")
     if arr.dim < 3:
         raise ValueError("b2 gap needs ambient dimension >= 3")
-    gap = char_data(arr).b2_dec - b2_multi(ziegler_restriction(arr, h))
-    if gap < 0:
-        raise AssertionError(f"b2 gap {gap} is negative")
-    return gap
+    lattice = build_lattice(arr)
+    return ziegler_gap(lattice, 0, 0, lattice.atom(h))[0]
 
 
 @dataclass(frozen=True)
@@ -429,15 +456,9 @@ def free3_decide(arr: Arrangement) -> Rank3FreenessReport:
     if len(lattice.level_sizes()) != 4:
         raise ValueError(f"expected a rank-3 arrangement, got rank {len(lattice.level_sizes()) - 1}")
     witness = 0
-    d1, d2 = exp2(ziegler_restriction(arr, witness))
-    b2z = d1 * d2
-    b2d = char_data(arr, lattice).b2_dec
-    gap = b2d - b2z
-    if gap < 0:
-        raise AssertionError(f"b2 gap {gap} is negative")
-    if gap != 0:
-        return Rank3FreenessReport(False, None, witness, gap, b2d, b2z)
-    return Rank3FreenessReport(True, tuple(sorted((1, d1, d2))), witness, 0, b2d, b2z)
+    gap, b2d, ((d1, d2),) = ziegler_gap(lattice, 0, 0, lattice.atom(witness))
+    exponents = tuple(sorted((1, d1, d2))) if gap == 0 else None
+    return Rank3FreenessReport(gap == 0, exponents, witness, gap, b2d, b2d - gap)
 
 
 def local_codim3_division_check(arr: Arrangement, h: int):
@@ -459,7 +480,7 @@ def local_codim3_division_check(arr: Arrangement, h: int):
         if y >> h & 1 and not intpoly.divides(lattice.restriction_chi(1, atom, everything & ~y),
                                               lattice.restriction_chi(0, 0, everything & ~y)):
             violations.append(y)
-    restricted, trace = restrict_to_hyperplane(arr, h)
+    restricted, trace = restriction(arr, lattice.flat(1, atom))
     flats = tuple(Flat(restricted, 2, tuple(j for j, t in enumerate(trace) if y >> t[0] & 1))
                   for y in violations)
     return not flats, flats

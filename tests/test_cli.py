@@ -17,6 +17,8 @@ from divflag.cli import build_parser, run
 from divflag.jsonio import (
     arrangement_from_json,
     arrangement_to_json,
+    flag_from_json,
+    flag_to_json,
     if_certificate_from_json,
     if_certificate_to_json,
     load_arrangement,
@@ -112,6 +114,23 @@ def test_verify_cert_rejects_unclosed_level(tmp_path):
     cert_path.write_text(json.dumps(cert))
     assert run(["verify-cert", str(arr_path), str(cert_path), "--json", str(out)]) == 2
     assert json.loads(out.read_text()) == {"valid": False}
+
+
+def test_flag_from_json_puts_level_i_at_codimension_i():
+    arr = weyl_b(4)
+    flag = divisional_flag_search(arr)
+    assert flag_from_json(arr, flag_to_json(flag)) == flag
+    # a cut member list is kept as listed, at its level, and verify rejects it
+    doc = flag_to_json(flag)
+    doc["levels"][2]["members"].pop()
+    parsed = flag_from_json(arr, doc)
+    assert [f.codim for f in parsed.flats] == [0, 1, 2]
+    assert parsed.flats[2].members == tuple(doc["levels"][2]["members"])
+    assert not parsed.verify(arr)
+    # the smallest index out of range is named
+    doc["levels"][2]["members"] = [16, 0, -2, -1]
+    with pytest.raises(IndexError, match="^hyperplane index -2 out of range$"):
+        flag_from_json(arr, doc)
 
 
 def _weyl_b4_certificate(tmp_path):
@@ -338,6 +357,11 @@ def test_hdf_check():
                      {"members": [], "charpoly": [0, -15, 23, -9, 1]},
                      {"members": [9], "charpoly": [0, 3, -4, 1]}]}},
                  "hyperplane index 9 out of range", id="member-out-of-range"),
+    pytest.param(["verify-cert", "arr.json", "cert.json"],
+                 {"cert.json": {"kind": "divisional-flag", "exponents": None, "levels": [
+                     {"members": [], "charpoly": [0, -15, 23, -9, 1]},
+                     {"members": [0, -1], "charpoly": [0, 3, -4, 1]}]}},
+                 "hyperplane index -1 out of range", id="member-negative"),
 ])
 def test_input_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, argv, files, message):
     monkeypatch.chdir(tmp_path)

@@ -954,13 +954,14 @@ def test_division_helpers_match_reference_catalog(name, arr):
     _assert_division_matches_reference(arr)
 
 
-@pytest.mark.parametrize("p", [None, 5, 7, 11])
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11])
 def test_division_helpers_match_reference_random(p):
     field = QQ if p is None else PrimeField(p)
     rng = random.Random(181 if p is None else 181 + p)
     for _ in range(15):
-        arr = random_arrangement(rng, rng.randint(3, 5), rng.randint(1, 9), field=field)
-        _assert_division_matches_reference(arr)
+        dim = rng.randint(3, 5)
+        most = 9 if p is None else min(9, (p ** dim - 1) // (p - 1))
+        _assert_division_matches_reference(random_arrangement(rng, dim, rng.randint(1, most), field=field))
     # rank 3 in dimension 5, where the rank-3 helpers shift out t^2
     for _ in range(5):
         arr = random_arrangement(rng, 3, rng.randint(4, 7), field=field)

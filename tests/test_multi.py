@@ -7,7 +7,7 @@ from math import comb, gcd, lcm
 import pytest
 
 from divflag import intpoly
-from divflag import arrangement, lattice
+from divflag import arrangement, freeness, lattice
 from divflag.arrangement import (
     flat_from_members,
     localization,
@@ -29,6 +29,7 @@ from divflag.catalog import (
 )
 from divflag import multi
 from divflag.exactalg import PrimeField, QQ, int_rref
+from divflag.freeness import division_equivalences
 from divflag.lattice import build_lattice, char_data, rank2_flats
 from divflag.multi import (
     MultiArrangement,
@@ -41,6 +42,8 @@ from divflag.multi import (
     free3_decide,
     local_codim3_division_check,
     remainder_division,
+    Rank3FreenessReport,
+    ziegler_gap,
     ziegler_restriction,
 )
 
@@ -516,6 +519,20 @@ def test_euler_mult_requires_mult2():
         euler_mult_rank2(MultiArrangement(two, Multiplicity((1, 1))), 0)
 
 
+def test_euler_mult_and_bump_reject_indices_out_of_range():
+    # h = -1 once read and bumped the last line, and the step returned 2
+    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((1, 1, 3)))
+    for h in (-1, -3, 3):
+        with pytest.raises(IndexError, match=f"^hyperplane index {h} out of range$"):
+            euler_mult_rank2(ma, h)
+        with pytest.raises(IndexError, match=f"^hyperplane index {h} out of range$"):
+            ma.mult.bump(h, 1)
+    assert ma.mult.bump(2, -1).values == (1, 1, 2)
+    with pytest.raises(ValueError, match="at least 2"):
+        euler_mult_rank2(ma, 0)
+    assert euler_mult_rank2(ma, 2) == 2
+
+
 def test_exponent_drop_by_one():
     rng = random.Random(79)
     for _ in range(60):
@@ -671,6 +688,107 @@ def test_free3_matches_terao_split():
             assert tuple(sorted(roots)) == report.exponents
 
 
+def _reference_b2_multi(ma):
+    """b2 of a multiarrangement on its own lattice: exp2 at each geometric
+    localization at a codimension-2 flat."""
+    total = 0
+    for flat in rank2_flats(ma.base):
+        local_mult = Multiplicity(tuple(ma.mult.values[h] for h in flat.members))
+        d1, d2 = exp2(MultiArrangement(localization(ma.base, flat), local_mult))
+        total += d1 * d2
+    return total
+
+
+def _reference_b2_gap(arr, h):
+    """The b2 gap on the geometric Ziegler restriction and a second lattice."""
+    if len(arr) == 0:
+        raise ValueError("b2 gap needs a nonempty arrangement")
+    if arr.dim < 3:
+        raise ValueError("b2 gap needs ambient dimension >= 3")
+    gap = char_data(arr).b2_dec - _reference_b2_multi(ziegler_restriction(arr, h))
+    if gap < 0:
+        raise AssertionError(f"b2 gap {gap} is negative")
+    return gap
+
+
+def _reference_free3(arr):
+    """The rank-3 decision on exp2 of the geometric Ziegler restriction at
+    hyperplane 0 and b2 from ``char_data``."""
+    if len(arr) == 0:
+        raise ValueError("freeness decision needs a nonempty arrangement")
+    lat = build_lattice(arr)
+    if len(lat.level_sizes()) != 4:
+        raise ValueError(f"expected a rank-3 arrangement, got rank {len(lat.level_sizes()) - 1}")
+    witness = 0
+    d1, d2 = exp2(ziegler_restriction(arr, witness))
+    b2z = d1 * d2
+    b2d = char_data(arr, lat).b2_dec
+    gap = b2d - b2z
+    if gap < 0:
+        raise AssertionError(f"b2 gap {gap} is negative")
+    if gap != 0:
+        return Rank3FreenessReport(False, None, witness, gap, b2d, b2z)
+    return Rank3FreenessReport(True, tuple(sorted((1, d1, d2))), witness, 0, b2d, b2z)
+
+
+def _assert_ziegler_gaps_match_reference(arr):
+    """b2_gap at every h; free3_decide on A and on every A^H of rank 3; and
+    ziegler_gap at level 1, on A^H and each of its hyperplanes, against the
+    reference gap of the geometric A^H."""
+    lat = build_lattice(arr)
+    if len(lat.level_sizes()) == 4:
+        assert free3_decide(arr) == _reference_free3(arr)
+    for h in range(len(arr)):
+        assert b2_gap(arr, h) == _reference_b2_gap(arr, h)
+        restricted, trace = restrict_to_hyperplane(arr, h)
+        if not restricted.hyperplanes:
+            continue
+        if len(build_lattice(restricted).level_sizes()) == 4:
+            assert free3_decide(restricted) == _reference_free3(restricted)
+        if restricted.dim >= 3:
+            atom = lat.atom(h)
+            for k in lat.covers[1][atom]:
+                j = next(j for j, t in enumerate(trace) if lat.mask(2, k) >> t[0] & 1)
+                gap, b2, exponents = ziegler_gap(lat, 1, atom, k)
+                assert (gap, b2) == (_reference_b2_gap(restricted, j), char_data(restricted).b2_dec)
+                assert b2 - gap == sum(d1 * d2 for d1, d2 in exponents)
+
+
+ZIEGLER_GAP_INPUTS = [
+    ("edelman-reiner", edelman_reiner_restriction()),
+    ("xyzw", xyzw_example()),
+    ("xyzw-restriction", xyzw_restriction()),
+    ("pentagon-cone-31", pentagon_cone(31).arrangement),
+    ("weyl-b3", weyl_b(3)),
+    ("weyl-b4", weyl_b(4)),
+    ("weyl-d4", weyl_d(4)),
+    ("braid-5", braid(5)),
+    ("intermediate-4-1", intermediate(4, 1, 3, 7)),
+    ("shi-b3-k1", shi(RootSystemSpec("B", 3), 1)),
+]
+
+
+@pytest.mark.parametrize("name,arr", ZIEGLER_GAP_INPUTS, ids=[n for n, _ in ZIEGLER_GAP_INPUTS])
+def test_ziegler_gaps_match_reference_catalog(name, arr):
+    _assert_ziegler_gaps_match_reference(arr)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_ziegler_gaps_match_reference_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(223 if p is None else 223 + p)
+    for dim in (3, 4, 5):
+        for _ in range(4):
+            most = 9 if p is None else min(9, (p ** dim - 1) // (p - 1))
+            _assert_ziegler_gaps_match_reference(
+                random_arrangement(rng, dim, rng.randint(2, most), field=field))
+    # rank 3 padded to dimension 5
+    for _ in range(4):
+        arr = random_arrangement(rng, 3, rng.randint(4, 7), field=field)
+        _assert_ziegler_gaps_match_reference(
+            make_arrangement(field, 5, [list(cov) + [0, 0] for cov in arr.hyperplanes]))
+
+
 def test_local_codim3_xyzw_all_divide():
     ok, violations = local_codim3_division_check(xyzw_example(), 3)
     assert ok
@@ -773,6 +891,9 @@ def test_local_check_matches_reference_random(p):
 
 
 def test_local_check_reads_one_lattice(monkeypatch):
+    # the local check, b2_gap, free3_decide and division_equivalences (A^H of
+    # rank 3) each build L(A) once and restrict A once, and the Ziegler b2
+    # takes no charpoly, rank-2 lattice or localization of its own
     calls = collections.Counter()
 
     def count(module, name):
@@ -784,17 +905,30 @@ def test_local_check_reads_one_lattice(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, names in ((multi, ("build_lattice", "char_data", "localization", "rank2_flats")),
+    b3, xyzw3 = weyl_b(3), xyzw_restriction()
+    for module, names in ((multi, ("build_lattice", "rank2_flats", "restrict_to_hyperplane", "restriction")),
+                          (freeness, ("build_lattice", "char_data")),
                           (lattice, ("build_lattice", "char_data", "rank2_flats")),
-                          (arrangement, ("localization", "flat_from_members"))):
+                          (arrangement, ("localization", "flat_from_members", "restrict_to_hyperplane",
+                                         "restriction"))):
         for name in names:
             count(module, name)
     assert not hasattr(multi, "flat_from_members") and not hasattr(multi, "rank_of")
+    assert not hasattr(multi, "char_data") and not hasattr(multi, "localization")
+    assert not hasattr(freeness, "restrict_to_hyperplane") and not hasattr(freeness, "free3_decide")
     pent = pentagon_cone(31)
-    for arr, h in ((pent.arrangement, pent.infinite_index), (weyl_b(4), 0)):
+    b4, er = weyl_b(4), edelman_reiner_restriction()
+    for run, args in ((local_codim3_division_check, (pent.arrangement, pent.infinite_index)),
+                      (local_codim3_division_check, (b4, 0)),
+                      (b2_gap, (pent.arrangement, pent.infinite_index)),
+                      (b2_gap, (b4, 0)),
+                      (free3_decide, (b3,)),
+                      (free3_decide, (xyzw3,)),
+                      (division_equivalences, (b4, 0)),
+                      (division_equivalences, (er, 3))):
         calls.clear()
-        local_codim3_division_check(arr, h)
-        assert calls == {"build_lattice": 1}
+        run(*args)
+        assert calls == {"build_lattice": 1, "restriction": 1}, run.__name__
 
 
 def test_boolean_local_division_clean():
