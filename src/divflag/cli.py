@@ -29,6 +29,7 @@ from .jsonio import (
     arrangement_to_json,
     flag_to_json,
     if_certificate_to_json,
+    lattice_report,
     load_arrangement,
     poly_to_json,
     save_json,
@@ -100,19 +101,10 @@ def _cmd_lattice(args) -> int:
     data = char_data(arr, lat)
     sizes = lat.level_sizes()
     print(f"level sizes: {list(sizes)}")
-    flats_json = []
-    for codim, mob in enumerate(lat.mobius):
-        for index, mu in enumerate(mob):
-            flats_json.append({"codim": codim, "members": list(lat.members(codim, index)),
-                               "mobius": mu})
-    print(f"flats: {len(flats_json)}")
+    print(f"flats: {sum(sizes)}")
     print(f"chi: {intpoly.to_string(data.chi)}")
-    report = {
-        "level_sizes": list(sizes),
-        "flats": flats_json,
-        "chi": poly_to_json(data.chi),
-    }
-    _emit(args, report)
+    if args.json_out:
+        save_json(args.json_out, lattice_report(lat, data.chi))
     return EXIT_OK
 
 

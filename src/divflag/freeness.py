@@ -76,9 +76,8 @@ def _candidates(lat: IntersectionLattice, level: int, index: int, deleted: int =
     base = lat.mask(level, index)
 
     def order(k):
-        above = lat.mask(level + 1, k)
-        present = above & ~base & ~deleted
-        size = sum(1 for z in lat.covers[level + 1][k] if lat.mask(level + 2, z) & ~above & ~deleted)
+        present = lat.mask(level + 1, k) & ~base & ~deleted
+        size = sum(1 for c in lat.cover_classes(level + 1, k) if c & ~deleted)
         return -size, present & -present
 
     return sorted((k for k in lat.covers[level][index] if lat.mask(level + 1, k) & ~base & ~deleted),

@@ -11,6 +11,9 @@ indent, keys sorted, ASCII only (other characters as ``\\u`` escapes), and a
 trailing newline.  ``save_json`` is this module's own encoder, not
 ``json.dump``, whose indenting encoder is pure Python and about twice as
 slow; ``tests/test_jsonio.py`` holds it to ``json.dumps`` byte for byte.
+The flats of a lattice report (``lattice_report``) are pre-encoded, each
+formatted from its member mask as the text ``save_json`` writes at its
+depth; the tests hold those reports to ``json.dumps`` of the plain dicts.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from . import intpoly
 from .arrangement import Arrangement, Flat, make_arrangement
 from .exactalg import covector_to_json, field_from_json, field_to_json, normalize_covector
 from .freeness import DivisionalFlag, IFCertificate, IFStep
+from .lattice import IntersectionLattice
 
 
 class SchemaError(ValueError):
@@ -73,6 +77,10 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INT_ONLY = frozenset((int,))
 
 
+class _Encoded(str):
+    """Finished output text, which ``save_json`` writes as it is."""
+
+
 class _KeyPrefixes(dict):
     """Each dict key's encoded ``"key": ``, made on first use."""
 
@@ -100,6 +108,8 @@ def save_json(path: str, data) -> None:
         kind = type(value)
         if kind is int:
             return int.__repr__(value)
+        if kind is _Encoded:
+            return value
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         if value is None or kind is bool:
@@ -144,6 +154,27 @@ def save_json(path: str, data) -> None:
     with open(path, "w") as fh:
         write(data, "\n", 2)
         fh.write("\n")
+
+
+def lattice_report(lattice: IntersectionLattice, chi: intpoly.IntPoly) -> dict:
+    """The ``divflag lattice --json`` report: level sizes, one item per flat
+    with its codim, members and Möbius value, and chi.  Each flat is the
+    text ``save_json`` writes for ``{"codim": ..., "members": [...],
+    "mobius": ...}`` as an item of ``"flats"``, formatted from its member
+    mask with no member list made."""
+    piece = [",\n        " + str(h) for h in range(len(lattice.arrangement))]
+    flats = []
+    for codim, mob in enumerate(lattice.mobius):
+        head = f'{{\n      "codim": {codim},\n      "members": ['
+        for index, mu in enumerate(mob):
+            mask, parts = lattice.mask(codim, index), []
+            while mask:
+                low = mask & -mask
+                parts.append(piece[low.bit_length() - 1])
+                mask ^= low
+            members = "".join(parts)[1:] + "\n      ]" if parts else "]"
+            flats.append(_Encoded(f'{head}{members},\n      "mobius": {mu}\n    }}'))
+    return {"level_sizes": list(lattice.level_sizes()), "flats": flats, "chi": poly_to_json(chi)}
 
 
 def poly_to_json(f: intpoly.IntPoly) -> list[int]:

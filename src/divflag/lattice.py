@@ -233,8 +233,11 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     the class and the rows of X, and a canonical residual is unique.  When
     r'[ℓ] = 0, r' is already canonical and kept as it is.  The reduction
     depends on (r, r') only, and in a root system the same pairs recur
-    across a level (Weyl B6: 1 088 distinct pairs for 19 724 reductions),
-    so each pair is reduced once per level.  A line X (codimension dim - 1)
+    across the build (Weyl B6: 360 distinct pairs for 19 724 reductions),
+    so each pair is reduced once per build.  Residuals go by small int ids,
+    given the first time a reduction makes one (hyperplane h has id h), so
+    a partition maps ids to class bits and the per-pair table maps ids to
+    ids; the tables are local to the call.  A line X (codimension dim - 1)
     needs none: its only cover is the origin, so its partition is one
     class, every non-member, whose residual is the unit vector of the one
     column that is not a pivot of X.
@@ -257,22 +260,34 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     limit = arr.dim if max_codim is None else min(max_codim, arr.dim)
     residual, insert = int_elimination(field)
 
-    # residual -> the bits of its class; at V every hyperplane is a class,
-    # and a normalized covector is its own residual modulo no rows
-    partition = {cov: 1 << h for h, cov in enumerate(arr.hyperplanes)}
+    # residual id -> residual, and back; at V every hyperplane is a class,
+    # and a normalized covector is its own residual modulo no rows, so the
+    # id of hyperplane h is h
+    vecs = list(arr.hyperplanes)
+    ids = {cov: h for h, cov in enumerate(vecs)}
+
+    def intern(v) -> int:
+        i = ids.get(v)
+        if i is None:
+            i = ids[v] = len(vecs)
+            vecs.append(v)
+        return i
+
+    # a partition maps the residual id of each class to its bits
+    partition = {h: 1 << h for h in range(len(vecs))}
     masks, mobius, classes = [(0,)], [(1,)], []
     # the flats of the last level: [rows, pivots, member mask, μ, partition]
     frontier = [[(), (), 0, 1, partition]]
     # e_c, the residual of every non-member of a line whose free column is c
     units = [tuple(int(i == c) for i in range(arr.dim)) for c in range(arr.dim)]
     everything = (1 << len(arr)) - 1
+    # class id r -> (its lead, {id s -> id of s reduced by r}): the same pair
+    # recurs across the flats of a root system
+    reductions: dict[int, tuple[int, dict[int, int]]] = {}
     while len(masks) <= limit:
         partitioned = len(masks) < limit  # the new level is not the last one
         lines = len(masks) == arr.dim - 1
         found: dict[int, list] = {}  # member mask -> [rows, pivots, mask, Σμ, partition]
-        # class residual r -> (its lead, {residual r' -> r' reduced by r}): the
-        # same pair recurs across the flats of a level of a root system
-        reductions: dict[tuple, tuple[int, dict]] = {}
         frontier.reverse()
         level_classes: list[tuple[int, ...]] = []
         classes.append(level_classes)
@@ -283,7 +298,8 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                 x = mask | bits
                 entry = found.get(x)
                 if entry is None:
-                    new_rows, new_pivots = insert(rows, pivots, r)
+                    vr = vecs[r]
+                    new_rows, new_pivots = insert(rows, pivots, vr)
                     child = None
                     if lines and partitioned:
                         # a line's only cover is the origin; its pivots are
@@ -291,24 +307,26 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                         # less theirs
                         rest = everything & ~x
                         free = arr.dim * (arr.dim - 1) // 2 - sum(new_pivots)
-                        child = {units[free]: rest} if rest else {}
+                        child = {intern(units[free]): rest} if rest else {}
                     elif partitioned:
                         known = reductions.get(r)
                         if known is None:
-                            for lead, a in enumerate(r):
+                            for lead, a in enumerate(vr):
                                 if a:
                                     break
                             known = reductions[r] = (lead, {})
                         lead, reduced = known
-                        # classes zero at the lead keep their residual, and no
-                        # two of them merge; the others may merge with any class
-                        child = {s: other for s, other in partition.items() if not s[lead]}
+                        child = {}
                         for s, other in partition.items():
-                            if s[lead] and s is not r:
+                            if s != r:
                                 t = reduced.get(s)
                                 if t is None:
-                                    t = reduced[s] = residual((r,), (lead,), s)
-                                child[t] = child.get(t, 0) | other
+                                    # a class zero at r's lead keeps its residual
+                                    vs = vecs[s]
+                                    t = reduced[s] = intern(
+                                        residual((vr,), (lead,), vs)) if vs[lead] else s
+                                # a new class is Y's int itself, not a copy of it
+                                child[t] = child[t] | other if t in child else other
                     entry = found[x] = [new_rows, new_pivots, x, 0, child]
                 # bits and mask are disjoint, so max(X) is in Y's class
                 # exactly when bits > mask

@@ -842,6 +842,37 @@ def test_if_verify_rejects_field_and_dim_mismatch():
     assert not cert.verify(wide) and not inductively_free(wide).certificate.verify(boolean(3))
 
 
+def _reference_candidates(lat, level, index, deleted=0):
+    """``_candidates`` with |(A − S)^Y| counted by scanning Y's covers at the
+    next level, as before the sort key read Y's cover classes."""
+    base = lat.mask(level, index)
+
+    def order(k):
+        above = lat.mask(level + 1, k)
+        present = above & ~base & ~deleted
+        size = sum(1 for z in lat.covers[level + 1][k] if lat.mask(level + 2, z) & ~above & ~deleted)
+        return -size, present & -present
+
+    return sorted((k for k in lat.covers[level][index] if lat.mask(level + 1, k) & ~base & ~deleted),
+                  key=order)
+
+
+@pytest.mark.parametrize("arr", [weyl_b(4), weyl_d(4), braid(5)], ids=["B4", "D4", "braid5"])
+def test_candidates_match_the_cover_scan(arr):
+    # on every flat, with no deletion, random deletions, and deletions of
+    # whole or partial cover classes
+    rng = random.Random(len(arr))
+    lat = build_lattice(arr)
+    for level, size in enumerate(lat.level_sizes()):
+        for index in range(size):
+            classes = lat.cover_classes(level, index)
+            masks = [0, *(rng.getrandbits(len(arr)) for _ in range(4)),
+                     *(c & (c - rng.randrange(2)) for c in rng.sample(classes, min(2, len(classes))))]
+            for deleted in masks:
+                assert _candidates(lat, level, index, deleted) == \
+                    _reference_candidates(lat, level, index, deleted)
+
+
 def test_if_candidates_follow_the_coordinate_numbering():
     # random restriction and deletion paths, followed in coordinates and on
     # L(A): at every node the candidates come in the reference's order,

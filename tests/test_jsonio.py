@@ -10,10 +10,15 @@ import tracemalloc
 import pytest
 
 from divflag import jsonio
+from divflag.arrangement import make_arrangement
 from divflag.catalog import weyl_b
 from divflag.cli import run
-from divflag.jsonio import save_json
+from divflag.exactalg import QQ, PrimeField
+from divflag.jsonio import lattice_report, poly_to_json, save_json
 from divflag.lattice import build_lattice
+
+from conftest import random_arrangement
+from test_lattice import _catalog_arrangements
 
 
 def oracle(data) -> bytes:
@@ -97,17 +102,50 @@ def test_unencodable_documents_raise_type_error(tmp_path, doc):
         save_json(str(tmp_path / "out.json"), doc)
 
 
-def _b6_lattice_report() -> dict:
-    # the shape of `divflag lattice --json`
+def _reference_lattice_report(lat, chi) -> dict:
+    """The `divflag lattice --json` report with one dict and one member
+    list per flat, as the command built it before ``lattice_report``."""
+    flats = [{"codim": codim, "members": list(lat.members(codim, index)), "mobius": mu}
+             for codim, mob in enumerate(lat.mobius) for index, mu in enumerate(mob)]
+    return {"level_sizes": list(lat.level_sizes()), "flats": flats, "chi": poly_to_json(chi)}
+
+
+def _report_inputs():
+    yield from _catalog_arrangements()
+    b5 = weyl_b(5).hyperplanes
+    p = 2**31 - 1
+    yield "b5-fp", make_arrangement(PrimeField(p), 5, [[x % p for x in c] for c in b5])
+    yield "no-hyperplanes", make_arrangement(QQ, 2, [])
+    yield "one-plane", make_arrangement(QQ, 3, [[0, 1, 0]])
+    for p in (None, 2, 3, 5, 7):
+        field = QQ if p is None else PrimeField(p)
+        rng = random.Random(421 if p is None else 421 + p)
+        for case in range(6):
+            dim = rng.randint(2, 5)
+            available = 12 if p is None else (p ** dim - 1) // (p - 1)
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 10)), field=field)
+            yield f"{field}-{case}", arr
+
+
+@pytest.mark.parametrize("name,arr", list(_report_inputs()))
+def test_lattice_report_writes_the_reference_bytes(tmp_path, name, arr):
+    lat = build_lattice(arr)
+    chi = lat.restriction_chi(0, 0)
+    expected = written(tmp_path, _reference_lattice_report(lat, chi))
+    assert written(tmp_path, lattice_report(lat, chi)) == expected == \
+        oracle(_reference_lattice_report(lat, chi))
+
+
+def _b6_reports() -> tuple[bytes, list[dict]]:
+    """The B6 report's expected bytes, and the report as dicts and pre-encoded."""
     lat = build_lattice(weyl_b(6))
-    flats = [{"codim": codim, "members": list(flat.members), "mobius": mu}
-             for codim, (level, mob) in enumerate(zip(lat.levels, lat.mobius))
-             for flat, mu in zip(level, mob)]
-    return {"level_sizes": list(lat.level_sizes()), "flats": flats, "chi": [1, -36]}
+    chi = lat.restriction_chi(0, 0)
+    reference = _reference_lattice_report(lat, chi)
+    return oracle(reference), [reference, lattice_report(lat, chi)]
 
 
 def test_streams_the_outer_levels(tmp_path, monkeypatch):
-    report = _b6_lattice_report()
+    expected, reports = _b6_reports()
     path = tmp_path / "b6.json"
     writes = []
 
@@ -125,17 +163,19 @@ def test_streams_the_outer_levels(tmp_path, monkeypatch):
             writes.append(len(text))
             return self.fh.write(text)
 
-    monkeypatch.setattr(jsonio, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
-    save_json(str(path), report)
-    monkeypatch.undo()
-    assert path.read_bytes() == oracle(report)
-    # one write per flat, none much longer than the longest flat's text
-    assert len(writes) >= len(report["flats"])
-    assert max(writes) < 1000 < len(oracle(report)) // 500
+    for report in reports:
+        writes.clear()
+        monkeypatch.setattr(jsonio, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+        save_json(str(path), report)
+        monkeypatch.undo()
+        assert path.read_bytes() == expected
+        # one write per flat, none much longer than the longest flat's text
+        assert len(writes) >= len(report["flats"])
+        assert max(writes) < 1000 < len(expected) // 500
 
 
 def test_peak_memory_not_above_json_dump(tmp_path):
-    report = _b6_lattice_report()
+    _, (reference, encoded) = _b6_reports()
     path = str(tmp_path / "b6.json")
 
     def peak(write) -> int:
@@ -148,10 +188,12 @@ def test_peak_memory_not_above_json_dump(tmp_path):
 
     def with_json_dump():
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(reference, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    assert peak(lambda: save_json(path, report)) <= peak(with_json_dump)
+    bound = peak(with_json_dump)
+    assert peak(lambda: save_json(path, reference)) <= bound
+    assert peak(lambda: save_json(path, encoded)) <= bound
 
 
 # every command that writes JSON, through each of its writing options
