@@ -16,7 +16,7 @@ import sys
 from . import intpoly
 from .arrangement import Arrangement, make_arrangement
 from .catalog import CATALOG_NAMES, CatalogEntry, build_entry
-from .exactalg import QQ, normalize_covector
+from .exactalg import QQ, is_prime, normalize_covector
 from .freeness import (
     IF_CERTIFIED,
     division_equivalences,
@@ -129,6 +129,8 @@ def _cmd_df_check(args) -> int:
 
 
 def _cmd_if_check(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be nonnegative, got {args.budget}")
     arr = _resolve_arrangement(args)
     result = inductively_free(arr, budget=args.budget)
     print(f"inductive freeness: {result.status} (nodes: {result.nodes})")
@@ -276,6 +278,13 @@ def _random_arrangement(rng: random.Random) -> Arrangement:
 
 def _cmd_oracle_verify(args) -> int:
     primes = args.primes or [5, 7]
+    # a prime bad for one arrangement is skipped there; a number that is
+    # not prime is bad for every one, so no point count would run
+    not_prime = [q for q in primes if not is_prime(q)]
+    if not_prime:
+        raise ValueError(f"--primes: {not_prime[0]} is not prime")
+    if args.random is not None and args.random < 0:
+        raise ValueError(f"--random must be nonnegative, got {args.random}")
     reports = []
     if args.random:
         rng = random.Random(args.seed)

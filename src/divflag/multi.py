@@ -6,9 +6,11 @@ restriction has one home, ``ziegler_gap``, on one L(A) and one restriction.
 Rank-2 exponents are the workhorse.  When the total multiplicity is small
 (|m| <= 2|A| - 1) they are given by a closed form.  Otherwise a rank-2
 multiarrangement is free (Ziegler), so the dimension of one kernel of the
-exact linear system for derivations, at degree ceil(|m|/2) - 1, gives both
-exponents; a generator is then solved at each exponent degree and the pair
-is certified by the Saito determinant condition.  The whole solve runs in
+exact linear system for derivations, at degree c = floor(|m|/2), gives both
+exponents.  A balanced multiarrangement (d1 = d2 = c) ends there, in one
+solve: two kernel vectors at c pass the Saito determinant condition.
+Otherwise a generator is solved at each exponent degree and the pair is
+certified by the same condition.  The whole solve runs in
 plain ints over Q and over F_p alike, in the basis of the two lines of
 largest multiplicity: these become the axes x = 0 and y = 0, whose
 conditions x^m | P and y^m | Q set coefficients to zero, so their columns
@@ -220,8 +222,13 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     Fast path: when |m| <= 2|A| - 1 the exponents are
     (|m| - |A| + 1, |A| - 1).  Otherwise one kernel count settles them: the
     multiarrangement is free with d1 <= d2 and d1 + d2 = |m|, so at
-    d = ceil(|m|/2) - 1 < d2 the kernel has dimension k = max(0, d - d1 + 1);
-    k > 0 gives d1 = d - k + 1, and k = 0 gives d1 = d2 = |m|/2.
+    c = floor(|m|/2), d1 <= c <= d2, the kernel has dimension
+    k = c - d1 + 1, plus one exactly when d1 = d2 = c; it is never empty.
+    k = 2 with |m| even is either the balanced case, where any two
+    independent kernel vectors have a nonzero determinant and the Saito
+    check on the first two returns (c, c) after this one solve, or d1 =
+    c - 1, where both are multiples of one generator and the check fails.
+    Every other case has d1 = c - k + 1 < d2.
 
     The kernels are solved in plain ints, on the field's
     ``int_elimination``: the lines are integer pairs, written in the basis
@@ -245,23 +252,22 @@ def exp2(ma: MultiArrangement) -> Exponents2:
         return Exponents2(lo, hi)
 
     pairs = _axis_coordinates(field, pairs, mults)
-    d = (total + 1) // 2 - 1
-    kernel = _derivation_kernel(field, pairs, mults, d)
-    if kernel:
-        d1 = d - len(kernel) + 1
-    elif total % 2:
+    c = total // 2
+    kernel = _derivation_kernel(field, pairs, mults, c)
+    if not kernel:
         raise AssertionError(
-            f"no derivation of degree {d} below the odd total multiplicity {total}"
+            f"no derivation of degree {c}, half the total multiplicity {total} rounded down"
         )
-    else:
-        d1 = total // 2
-    # d1 <= d < d2 when the kernel at d is not empty, d1 = d2 when it is
+    if len(kernel) == 2 and 2 * c == total and _saito_check(
+            field, kernel[0], c, kernel[1], c, pairs, mults):
+        return Exponents2(c, c)
+    # d1 <= c < d2
+    d1 = c - len(kernel) + 1
     d2 = total - d1
-    if d1 != d:
+    if d1 != c:
         kernel = _derivation_kernel(field, pairs, mults, d1)
     theta1 = kernel[0]
-    if d2 != d1:
-        kernel = _derivation_kernel(field, pairs, mults, d2)
+    kernel = _derivation_kernel(field, pairs, mults, d2)
     theta2 = _independent_second(field, theta1, d1, kernel, d2)
     if not _saito_check(field, theta1, d1, theta2, d2, pairs, mults):
         raise AssertionError("Saito determinant condition failed for the computed basis")

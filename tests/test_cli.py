@@ -329,6 +329,14 @@ def test_oracle_verify_catalog():
     assert run(["oracle-verify", "--catalog", "boolean", "--l", "3"]) == 0
 
 
+def test_oracle_verify_weyl_b3_primes(capsys):
+    # 5 and 7 are primes; the point counts at both run and agree
+    assert run(["oracle-verify", "--catalog", "weyl-b", "--l", "3", "--primes", "5", "7"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == ["checked 1 arrangement against 2 primes", "oracles agree"]
+
+
 def test_oracle_verify_random_seeded():
     assert run(["oracle-verify", "--random", "5", "--seed", "11"]) == 0
 
@@ -362,6 +370,14 @@ def test_hdf_check():
                      {"members": [], "charpoly": [0, -15, 23, -9, 1]},
                      {"members": [0, -1], "charpoly": [0, 3, -4, 1]}]}},
                  "hyperplane index -1 out of range", id="member-negative"),
+    pytest.param(["oracle-verify", "--catalog", "weyl-b", "--l", "3", "--primes", "1", "4"], {},
+                 "--primes: 1 is not prime", id="oracle-primes-not-prime"),
+    pytest.param(["oracle-verify", "arr.json", "--primes", "5", "9"], {},
+                 "--primes: 9 is not prime", id="oracle-primes-composite"),
+    pytest.param(["oracle-verify", "--random", "-2"], {},
+                 "--random must be nonnegative, got -2", id="oracle-random-negative"),
+    pytest.param(["if-check", "arr.json", "--budget", "-1"], {},
+                 "--budget must be nonnegative, got -1", id="if-budget-negative"),
 ])
 def test_input_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, argv, files, message):
     monkeypatch.chdir(tmp_path)

@@ -250,11 +250,11 @@ def _reference_exp2(ma):
 
 def _solver_regime(ma, exponents):
     """Which case of the one-kernel rule decides a multiarrangement past the
-    closed form: the kernel at ceil(|m|/2) - 1 is empty, or d1 is that degree,
-    or d1 lies below it."""
-    d = (ma.mult.total + 1) // 2 - 1
-    d1 = exponents.d1
-    return "balanced" if d1 > d else ("at" if d1 == d else "below")
+    closed form, at c = floor(|m|/2): the exponents are (c, c), or d1 = c
+    below d2 = c + 1, or d1 lies below c."""
+    c = ma.mult.total // 2
+    d1, d2 = exponents
+    return "balanced" if d1 == d2 else ("at" if d1 == c else "below")
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7), PrimeField(101),
@@ -281,6 +281,8 @@ def test_exp2_matches_reference_scan(field):
     ([(1, 0), (0, 1), (1, 1), (1, 2)], (10, 2, 1, 1)),  # dominant
     ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)], (8,) * 5),
     ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)], (1, 2, 3, 4, 5)),
+    ([(1, 0), (0, 1), (1, 1), (1, 2)], (2, 8, 2, 2)),  # even, d1 = |m|/2 - 1
+    ([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)], (2, 2, 2, 10, 2)),  # even, d1 = |m|/2 - 1
 ])
 def test_exp2_matches_reference_named(lines, mults):
     ma = MultiArrangement(_lines(*lines), Multiplicity(mults))
@@ -389,7 +391,8 @@ def test_exp2_axis_basis_named(field, dim, lines, mults):
 def test_exp2_solves_the_reduced_system(monkeypatch):
     # five lines in general position with m = (8,)*5: at d = 19 the two
     # heaviest lines drop 8 columns each, so 24 of the 40 columns reach
-    # int_rref; a fallback to the full-width system fails here
+    # int_rref, and exp2's one solve, at d = 20, has 26 of 42; a fallback to
+    # the full-width system fails here
     field = QQ
     ma = MultiArrangement(_lines((1, 1), (1, 2), (1, 3), (1, -1), (2, 1)), Multiplicity((8,) * 5))
     widths = []
@@ -414,7 +417,7 @@ def test_exp2_solves_the_reduced_system(monkeypatch):
     assert widths == [{6}]
     widths.clear()
     assert tuple(exp2(ma)) == (20, 20)
-    assert {24} in widths and {40} not in widths
+    assert {26} in widths and {42} not in widths
 
 
 def test_exp2_saito_guard_fires(monkeypatch):
@@ -428,12 +431,40 @@ def test_exp2_saito_guard_fires(monkeypatch):
 
 
 def test_exp2_inconsistent_kernel_raises(monkeypatch):
-    # an empty kernel below an odd total multiplicity contradicts freeness;
-    # it must raise even under python -O
+    # an empty kernel at floor(|m|/2) contradicts freeness, for an odd and
+    # an even total alike; it must raise even under python -O
     monkeypatch.setattr(multi, "_derivation_kernel", lambda field, pairs, mults, d: [])
-    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((5, 1, 1)))
-    with pytest.raises(AssertionError, match="odd total multiplicity"):
-        exp2(ma)
+    for mults in ((5, 1, 1), (2, 2, 2)):
+        ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity(mults))
+        with pytest.raises(AssertionError, match="no derivation of degree .*, half the total multiplicity"):
+            exp2(ma)
+
+
+FIVE_GENERAL_LINES = [(1, 1), (1, 2), (1, 3), (1, -1), (2, 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["Q", "F2147483647"])
+@pytest.mark.parametrize("lines,mults,exponents,degrees", [
+    (FIVE_GENERAL_LINES, (8,) * 5, (20, 20), [20]),  # balanced: one solve
+    ([(1, 0), (0, 1), (1, 1)], (6, 5, 6), (8, 9), [8, 9]),  # odd, d1 = floor(|m|/2)
+    (FIVE_GENERAL_LINES, (18, 4, 4, 4, 4), (16, 18), [17, 16, 18]),  # even, d1 = |m|/2 - 1
+    ([(1, 0), (0, 1), (1, 1)], (3, 9, 2), (5, 9), [7, 5, 9]),  # d1 below |m|/2 - 1
+], ids=["balanced", "odd-at-half", "even-one-below", "even-far-below"])
+def test_exp2_solve_degrees_per_regime(monkeypatch, field, lines, mults, exponents, degrees):
+    # the degrees of exp2's kernel solves, in order, are deterministic: the
+    # count at floor(|m|/2) first, then d1 unless it is that degree, then d2
+    # unless the count already settled a balanced pair
+    solve = multi._derivation_kernel
+    seen = []
+
+    def spy(field, pairs, mults, d):
+        seen.append(d)
+        return solve(field, pairs, mults, d)
+
+    monkeypatch.setattr(multi, "_derivation_kernel", spy)
+    ma = MultiArrangement(make_arrangement(field, 2, lines), Multiplicity(mults))
+    assert tuple(exp2(ma)) == exponents
+    assert seen == degrees
 
 
 def test_exp2_missing_second_generator_raises(monkeypatch):
