@@ -286,7 +286,7 @@ def _cmd_oracle_verify(args) -> int:
     if args.random is not None and args.random < 0:
         raise ValueError(f"--random must be nonnegative, got {args.random}")
     reports = []
-    if args.random:
+    if args.random is not None:
         rng = random.Random(args.seed)
         checked = 0
         while checked < args.random:

@@ -56,7 +56,7 @@ class DivisionalFlag:
 
 def _flag_ends(lattice: IntersectionLattice, level: int, index: int) -> bool:
     """A flag stops at X when A^X has dimension at most two or no hyperplanes."""
-    return lattice.arrangement.dim - level <= 2 or not lattice.covers[level][index]
+    return lattice.arrangement.dim - level <= 2 or not lattice.cover_classes(level, index)
 
 
 def division_check(arr: Arrangement, h: int) -> bool:
@@ -72,16 +72,17 @@ def _candidates(lat: IntersectionLattice, level: int, index: int, deleted: int =
     """The hyperplanes of the minor (A − S)^X, as covers Y of X, by
     decreasing restriction size, then by min(members Y − members X − S), which
     is the order in which the restrictions and deletions that lead to the
-    minor number them (a heuristic only; the searches stay exhaustive)."""
-    base = lat.mask(level, index)
-
-    def order(k):
-        present = lat.mask(level + 1, k) & ~base & ~deleted
-        size = sum(1 for c in lat.cover_classes(level + 1, k) if c & ~deleted)
-        return -size, present & -present
-
-    return sorted((k for k in lat.covers[level][index] if lat.mask(level + 1, k) & ~base & ~deleted),
-                  key=order)
+    minor number them (a heuristic only; the searches stay exhaustive).  The
+    covers are X | c for X's live classes c; disjoint, so each key is unique."""
+    base, keyed = lat.mask(level, index), []
+    for c in lat.cover_classes(level, index):
+        present = c & ~deleted
+        if present:
+            k = lat.index_of(base | c)
+            size = sum(1 for d in lat.cover_classes(level + 1, k) if d & ~deleted)
+            keyed.append((-size, present & -present, k))
+    keyed.sort()
+    return [k for _, _, k in keyed]
 
 
 class _FlagSearch:
@@ -150,7 +151,7 @@ def flag_b2_bound(arr: Arrangement, flag) -> tuple[int, int]:
     for i, (level, _) in enumerate(where):
         if level != i:
             raise ValueError(f"flag flat {i} has the members of a flat of codimension {level}")
-    sizes = [len(lattice.covers[level][index]) for level, index in where]
+    sizes = [len(lattice.cover_classes(level, index)) for level, index in where]
     rhs = 0
     for i in range(len(flats) - 1):
         rhs += (sizes[i] - sizes[i + 1]) * (sizes[i + 1] - 1)
@@ -346,7 +347,7 @@ def rank3_triple_conditions(arr: Arrangement, h: int, d1: int, d2: int) -> Rank3
         chi_splits=lattice.restriction_chi(0, 0)[extra:] == intpoly.from_roots([1, d1, d2]),
         deleted_chi_matches=(lattice.deletion_chi(0, 0, 0, atom)[extra:]
                              == intpoly.from_roots([1, d1, d2 - 1])),
-        restriction_size_matches=len(lattice.covers[1][atom]) == d1 + 1,
+        restriction_size_matches=len(lattice.cover_classes(1, atom)) == d1 + 1,
     )
 
 
@@ -404,7 +405,7 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
     ell = arr.dim
     lattice = build_lattice(arr)
     atom = lattice.atom(h)
-    n_res = len(lattice.covers[1][atom])  # |A^H|
+    n_res = len(lattice.cover_classes(1, atom))  # |A^H|
     chi = lattice.restriction_chi(0, 0)
     chi_res = lattice.restriction_chi(1, atom)
     chi_del = lattice.deletion_chi(0, 0, 0, atom)
@@ -418,9 +419,12 @@ def division_equivalences(arr: Arrangement, h: int) -> EquivalenceReport:
         cond7 = intpoly.coeff(chi0_remainder(lattice, h)[1], ell - 3) == 0
         cond8 = intpoly.coeff(chi0_remainder(lattice, h, 1 << h)[1], ell - 3) == 0
     res_rank = len(lattice.level_sizes()) - 2  # the interval above H_h
-    # A^H of rank <= 2 is free, one of rank 3 exactly when its b2 gap is 0
-    certified = True if res_rank <= 2 else (
-        ziegler_gap(lattice, 1, atom, lattice.covers[1][atom][0])[0] == 0 if res_rank == 3 else None)
+    # A^H of rank <= 2 is free, one of rank 3 exactly when its b2 gap at
+    # its least-index hyperplane is 0
+    certified = True if res_rank <= 2 else None
+    if res_rank == 3:
+        k = min(lattice.index_of(1 << h | c) for c in lattice.cover_classes(1, atom))
+        certified = ziegler_gap(lattice, 1, atom, k)[0] == 0
     report = EquivalenceReport(cond4, cond5, cond6, cond7, cond8, certified)
     if certified:
         conditions = report.all_conditions()

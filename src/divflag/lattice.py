@@ -1,20 +1,10 @@
 """Intersection lattices, Möbius functions, characteristic polynomials,
 and two independent oracles for cross-checking them.
 
-The lattice is built rank by rank.  Each flat Y carries the partition of
-its non-members into cover classes, one per cover of Y, told apart by the
-canonical residual of a covector modulo Y's normal space; a class names
-the exact member set of its cover, members(Y) ∪ class, so each cover is
-found by its member mask.  A new flat takes its rows (one ``insert``) and
-its partition (one-row reductions of the other classes) from the first
-flat that reaches it.  Rows are canonical: the rref over F_p, and over Q
-the fraction-free reduced integer rows, which are exact for any
-coefficients.  Only residuals and inserts touch coordinates.  Möbius
-values follow from Weisner's theorem with the atom of a flat's largest
-member, so they need no arithmetic.  Member sets are kept as bitmasks so
-interval containment (reverse inclusion) is a single subset test, and
-each flat keeps the class masks of its partition, from which the cover
-relation is read.
+The lattice is built rank by rank (``build_lattice``).  Each flat keeps its
+member set as a bitmask, so interval containment (reverse inclusion) is a
+single subset test, and the class masks of its cover partition, one per
+cover, from which the covers are read.
 """
 
 from __future__ import annotations
@@ -97,12 +87,17 @@ class IntersectionLattice:
         """(level, index) of the flat with exactly these members, or None."""
         return self._index().get(sum(1 << h for h in set(members)))
 
+    def index_of(self, mask: int) -> int:
+        """Index within its level of the flat with this member mask."""
+        return self._index()[mask][1]
+
     @property
     def covers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """covers[i][j] = indices k at level i+1 with levels[i][j] covered by
         levels[i+1][k], ascending; their number is |A^X| for X = levels[i][j].
         Each is the flat whose members are members(X) ∪ c for one of the
-        cover classes c that the build kept for X; the last level has none."""
+        cover classes c that the build kept for X; the last level has none.
+        A test oracle: the library reads ``cover_classes`` and ``index_of``."""
         if self._covers is None:
             where = self._index()
             self._covers = tuple(
@@ -172,23 +167,22 @@ class IntersectionLattice:
         """χ((A − S)^X) over the flats Z = W ∧ K of the minor: W its flat one
         level down, K ∉ S.  Weisner's theorem with the atom K =
         max(members Z − members X − S) gives μ(X, Z) = −Σ μ(X, W) over the
-        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅)."""
+        minor's W ⋖ Z with K ∉ W, as in ``build_lattice`` (X = V, S = ∅).
+        The sums are keyed by mask: W reaches Z = W | c for each cover class
+        c of W, K ∉ W exactly when K ∈ c, and each W's index is looked up once."""
         dim = self.arrangement.dim
         coeffs = [0] * (dim - level + 1)
         coeffs[dim - level] = 1
-        current = {index: 1}  # μ(X, W) over the minor's flats W of one level
-        covers, free = self.covers, ~(self._masks[level][index] | deleted)
+        base = self._masks[level][index]
+        current = {base: 1}  # μ(X, W) over the minor's flats W of one level
+        where, free = self._index(), ~(base | deleted)
         for lvl in range(level, len(self._masks) - 1):
-            lower, upper, ups = self._masks[lvl], self._masks[lvl + 1], covers[lvl]
-            atoms: dict[int, int] = {}  # upper flat -> bit of its K, 0 if none
+            classes = self._classes[lvl]
             sums: dict[int, int] = {}
             for w, mu in current.items():
-                below = lower[w]
-                for z in ups[w]:
-                    atom = atoms.get(z)
-                    if atom is None:
-                        atom = atoms[z] = 1 << (upper[z] & free).bit_length() >> 1
-                    if atom and not below & atom:
+                for c in classes[where[w][1]]:
+                    z = w | c
+                    if 1 << (z & free).bit_length() >> 1 & c:
                         sums[z] = sums.get(z, 0) + mu
             current = {z: -s for z, s in sums.items()}
             coeffs[dim - lvl - 1] = sum(current.values())

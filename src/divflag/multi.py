@@ -1,23 +1,11 @@
 """Multiarrangement machinery: Ziegler restrictions, exact exponents of
 rank-2 multiarrangements, the local-global second Betti number, remainder
 divisions, and the exact rank-3 freeness decision; the b2 gap of a Ziegler
-restriction has one home, ``ziegler_gap``, on one L(A) and one restriction.
+restriction has one home, ``ziegler_gap``, on one L(A) and at most one
+restriction.
 
-Rank-2 exponents are the workhorse.  When the total multiplicity is small
-(|m| <= 2|A| - 1) they are given by a closed form.  Otherwise a rank-2
-multiarrangement is free (Ziegler), so the dimension of one kernel of the
-exact linear system for derivations, at degree c = floor(|m|/2), gives both
-exponents.  A balanced multiarrangement (d1 = d2 = c) ends there, in one
-solve: two kernel vectors at c pass the Saito determinant condition.
-Otherwise a generator is solved at each exponent degree and the pair is
-certified by the same condition.  The whole solve runs in
-plain ints over Q and over F_p alike, in the basis of the two lines of
-largest multiplicity: these become the axes x = 0 and y = 0, whose
-conditions x^m | P and y^m | Q set coefficients to zero, so their columns
-leave the system.  The other lines' containment conditions are rows of
-Hasse coefficients at integer points of the lines, reduced on the
-surviving columns by the field's ``int_elimination``, with an integer
-kernel basis read off the free columns and an integer Saito check.
+Rank-2 exponents are the workhorse: ``exp2`` gives them by a closed form
+or by one kernel count of the exact linear system for derivations.
 """
 
 from __future__ import annotations
@@ -216,10 +204,18 @@ def _saito_check(field: Field, theta1, d1, theta2, d2, pairs, mults) -> bool:
     return not canonical(intpoly.sub(intpoly.scale(det, target[lead]), intpoly.scale(target, det[lead])))
 
 
+def _closed_form(n: int, total: int) -> Exponents2 | None:
+    """Exponents of n lines with total multiplicity |m| <= 2n - 1, else None."""
+    if total > 2 * n - 1:
+        return None
+    lo, hi = sorted((total - n + 1, n - 1))
+    return Exponents2(lo, hi)
+
+
 def exp2(ma: MultiArrangement) -> Exponents2:
     """Exact exponents of a rank-2 multiarrangement.
 
-    Fast path: when |m| <= 2|A| - 1 the exponents are
+    Fast path (``_closed_form``): when |m| <= 2|A| - 1 the exponents are
     (|m| - |A| + 1, |A| - 1).  Otherwise one kernel count settles them: the
     multiarrangement is free with d1 <= d2 and d1 + d2 = |m|, so at
     c = floor(|m|/2), d1 <= c <= d2, the kernel has dimension
@@ -247,9 +243,9 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     mults = ma.mult.values
     total = ma.mult.total
     pairs = _two_coordinates(arr)
-    if total <= 2 * n - 1:
-        lo, hi = sorted((total - n + 1, n - 1))
-        return Exponents2(lo, hi)
+    closed = _closed_form(n, total)
+    if closed is not None:
+        return closed
 
     pairs = _axis_coordinates(field, pairs, mults)
     c = total // 2
@@ -341,18 +337,23 @@ def ziegler_gap(lattice: IntersectionLattice, level: int, index: int, k: int) ->
     levels[level][index], onto Y = levels[level + 1][k]: gap is b2(A^X)
     after deconing less the local-global b2 of its exponents at the flats
     W ⊇ Y two levels above Y; at rank 3, gap = 0 exactly when A^X is free
-    (Yoshinaga, *Invent. Math.* 157, 2004).  Trace class j of one
-    restriction of A onto Y is the cover Y ∪ trace[j], of multiplicity the
-    number of X's cover classes inside it, less one."""
-    arr, y = lattice.arrangement, lattice.mask(level + 1, k)
-    restricted, trace = restriction(arr, lattice.flat(level + 1, k))
-    mults = [sum(1 for c in lattice.cover_classes(level, index) if not c & ~z) - 1
-             for z in (y | sum(1 << h for h in t) for t in trace)]
+    (Yoshinaga, *Invent. Math.* 157, 2004).  Line c, a cover class of Y in
+    the order ``restriction`` numbers them, has multiplicity the number of X's
+    classes inside Y | c, less one; a wall W holds the lines inside it.  Only
+    a wall beyond ``_closed_form`` needs A restricted onto Y, once."""
+    y = lattice.mask(level + 1, k)
+    lines = sorted(lattice.cover_classes(level + 1, k), key=lambda c: c & -c)
+    mults = [sum(1 for c in lattice.cover_classes(level, index) if not c & ~(y | line)) - 1
+             for line in lines]
     sizes = lattice.level_sizes()
-    walls = (lattice.mask(level + 3, i) for i in range(sizes[level + 3] if len(sizes) > level + 3 else 0))
-    exponents = _local_exponents(restricted, mults, (
-        [j for j, t in enumerate(trace) if w >> t[0] & 1] for w in walls if not y & ~w))
-    b2 = intpoly.coeff(_chi0(lattice.restriction_chi(level, index)), arr.dim - level - 3)
+    walls = [[j for j, line in enumerate(lines) if line & w]
+             for w in (lattice.mask(level + 3, i) for i in range(sizes[level + 3] if len(sizes) > level + 3 else 0))
+             if not y & ~w]
+    exponents = tuple(_closed_form(len(wall), sum(mults[j] for j in wall)) for wall in walls)
+    if not all(exponents):
+        restricted = restriction(lattice.arrangement, lattice.flat(level + 1, k)).arrangement
+        exponents = _local_exponents(restricted, mults, walls)
+    b2 = intpoly.coeff(_chi0(lattice.restriction_chi(level, index)), lattice.arrangement.dim - level - 3)
     gap = b2 - sum(d1 * d2 for d1, d2 in exponents)
     if gap < 0:
         raise AssertionError(f"b2 gap {gap} is negative")
@@ -383,7 +384,7 @@ def chi0_remainder(lattice: IntersectionLattice, h: int,
     |A - S| - |A^H|, for S the bitmask ``deleted``, read off one lattice of
     A.  A - S and A^H must be nonempty."""
     atom = lattice.atom(h)
-    root = len(lattice.arrangement) - deleted.bit_count() - len(lattice.covers[1][atom])
+    root = len(lattice.arrangement) - deleted.bit_count() - len(lattice.cover_classes(1, atom))
     product = intpoly.mul((-root, 1), _chi0(lattice.restriction_chi(1, atom)))
     return root, intpoly.sub(_chi0(lattice.restriction_chi(0, 0, deleted)), product)
 
@@ -403,7 +404,7 @@ def remainder_division(arr: Arrangement, h: int) -> RemainderReport:
         raise ValueError("remainder division needs a nonempty arrangement")
     lattice = build_lattice(arr)
     atom = lattice.atom(h)
-    if not lattice.covers[1][atom]:
+    if not lattice.cover_classes(1, atom):
         raise ValueError("restriction is empty; chi0 is undefined")
     root, r = chi0_remainder(lattice, h)
     if intpoly.degree(r) > ell - 3:

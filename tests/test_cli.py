@@ -341,6 +341,16 @@ def test_oracle_verify_random_seeded():
     assert run(["oracle-verify", "--random", "5", "--seed", "11"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["--random", "0"], ["--random", "0", "--catalog", "boolean", "--l", "2"]],
+                         ids=["alone", "with-catalog"])
+def test_oracle_verify_random_zero(capsys, argv):
+    # --random 0 checks zero random arrangements, whatever else is given
+    assert run(["oracle-verify", *argv]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == ["checked 0 random arrangements (seed 0)", "oracles agree"]
+
+
 def test_remainder_and_same_eq():
     assert run(["remainder", "--catalog", "xyzw", "--pivot", "3"]) == 0
     assert run(["same-eq", "--catalog", "xyzw", "--pivot", "3"]) == 0

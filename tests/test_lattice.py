@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from divflag import exactalg, intpoly
+from divflag import exactalg, freeness, intpoly, multi
 from divflag.arrangement import (
     ArrangementError,
     Flat,
@@ -561,6 +561,98 @@ def test_minor_charpolys_random(p):
         for _ in range(6):
             arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
             _assert_minor_charpolys(arr, rng)
+
+
+def _reference_weisner_walk(lat, level, index, deleted):
+    """The walk keyed by flat index, on the ``covers`` table: μ(X, Z) =
+    −Σ μ(X, W) over the covers W ⋖ Z with the atom K = max(members Z −
+    members X − S) not in W."""
+    dim = lat.arrangement.dim
+    coeffs = [0] * (dim - level + 1)
+    coeffs[dim - level] = 1
+    current = {index: 1}
+    free = ~(lat.mask(level, index) | deleted)
+    for lvl in range(level, len(lat.level_sizes()) - 1):
+        sums = {}
+        for w, mu in current.items():
+            below = lat.mask(lvl, w)
+            for z in lat.covers[lvl][w]:
+                atom = 1 << (lat.mask(lvl + 1, z) & free).bit_length() >> 1
+                if atom and not below & atom:
+                    sums[z] = sums.get(z, 0) + mu
+        current = {z: -s for z, s in sums.items()}
+        coeffs[dim - lvl - 1] = sum(current.values())
+    return intpoly.poly(coeffs)
+
+
+def _assert_walk_matches_reference(arr, rng, tries=3):
+    """restriction_chi, its cache emptied so that it walks, against the
+    index-keyed walk on every flat, for S empty, the members of X, seeded
+    masks and every hyperplane but one cover class of X."""
+    lat = build_lattice(arr)
+    n = len(arr)
+    for level, size in enumerate(lat.level_sizes()):
+        for index in range(size):
+            base = lat.mask(level, index)
+            masks = [0, base] + [rng.getrandbits(n) for _ in range(tries)]
+            masks += [((1 << n) - 1) & ~c for c in lat.cover_classes(level, index)[:1]]
+            for deleted in masks:
+                lat._chis.clear()
+                expected = _reference_weisner_walk(
+                    lat, level, index, lat.deleted_classes(level, index, deleted))
+                assert lat.restriction_chi(level, index, deleted) == expected, (level, index, deleted)
+
+
+@pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
+def test_walk_matches_index_keyed_walk_catalog(name, arr):
+    _assert_walk_matches_reference(arr, random.Random(len(arr)), tries=2)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_walk_matches_index_keyed_walk_random(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(331 if p is None else 331 + p)
+    for dim in range(2, 6):
+        available = 10 if p is None else (p ** dim - 1) // (p - 1)
+        for _ in range(5):
+            arr = random_arrangement(rng, dim, rng.randint(1, min(available, 10)), field=field)
+            _assert_walk_matches_reference(arr, rng)
+
+
+def test_library_paths_never_build_the_covers_table(monkeypatch):
+    """Every search, verifier and division helper that reads covers of flats
+    reads the build's cover classes; with ``covers`` made to raise, each runs
+    and returns what it returns with the table in place."""
+    er, b4, braid5 = edelman_reiner_restriction(), weyl_b(4), braid(5)
+    b3_half = make_arrangement(QQ, 3, B3_HALF)
+
+    def runs():
+        out = []
+        for arr in (er, b4, braid5, b3_half, weyl_d(4)):
+            flag = freeness.divisional_flag_search(arr)
+            result = freeness.inductively_free(arr)
+            out += [flag, result, freeness.hereditarily_df(arr),
+                    flag.verify(arr) if flag else None,
+                    result.certificate.verify(arr) if result.certificate else None,
+                    freeness.flag_b2_bound(arr, flag) if flag else None,
+                    [freeness.division_equivalences(arr, h) for h in range(len(arr))],
+                    [multi.remainder_division(arr, h) for h in range(len(arr))],
+                    [multi.b2_gap(arr, h) for h in range(len(arr))]]
+        for arr in (b3_half, weyl_b(3), build_entry("xyzw-restriction").arrangement):
+            out += [multi.free3_decide(arr),
+                    [freeness.rank3_triple_conditions(arr, h, 1, 1) for h in range(len(arr))],
+                    [freeness.rank3_division_remainder(arr, h) for h in range(len(arr))]]
+        return out
+
+    expected = runs()
+
+    def refuse(self):
+        raise AssertionError("the covers table was built")
+
+    monkeypatch.setattr(IntersectionLattice, "covers", property(refuse))
+    with pytest.raises(AssertionError, match="covers table"):
+        build_lattice(er).covers
+    assert runs() == expected
 
 
 def test_restriction_chi_caches_one_entry_per_minor():

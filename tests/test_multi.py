@@ -780,7 +780,7 @@ def _assert_ziegler_gaps_match_reference(arr):
             atom = lat.atom(h)
             for k in lat.covers[1][atom]:
                 j = next(j for j, t in enumerate(trace) if lat.mask(2, k) >> t[0] & 1)
-                gap, b2, exponents = ziegler_gap(lat, 1, atom, k)
+                gap, b2, exponents = multi.ziegler_gap(lat, 1, atom, k)
                 assert (gap, b2) == (_reference_b2_gap(restricted, j), char_data(restricted).b2_dec)
                 assert b2 - gap == sum(d1 * d2 for d1, d2 in exponents)
 
@@ -799,13 +799,52 @@ ZIEGLER_GAP_INPUTS = [
 ]
 
 
+@pytest.fixture
+def ziegler_branches(monkeypatch):
+    """The branch of each ``ziegler_gap`` call, made directly or by b2_gap
+    and free3_decide: True when it restricted A for a kernel solve, False
+    when every wall took the closed form."""
+    branches = []
+    restrict, gap = multi.restriction, multi.ziegler_gap
+
+    def restriction(*args):
+        assert branches[-1] is False, "a second restriction in one ziegler_gap call"
+        branches[-1] = True
+        return restrict(*args)
+
+    def ziegler_gap(*args):
+        branches.append(False)
+        return gap(*args)
+
+    monkeypatch.setattr(multi, "restriction", restriction)
+    monkeypatch.setattr(multi, "ziegler_gap", ziegler_gap)
+    return branches
+
+
 @pytest.mark.parametrize("name,arr", ZIEGLER_GAP_INPUTS, ids=[n for n, _ in ZIEGLER_GAP_INPUTS])
-def test_ziegler_gaps_match_reference_catalog(name, arr):
+def test_ziegler_gaps_match_reference_catalog(name, arr, ziegler_branches):
     _assert_ziegler_gaps_match_reference(arr)
+    assert set(ziegler_branches) == ZIEGLER_BRANCHES[name]
+
+
+# the branches each catalog input takes: both over Q (Edelman–Reiner, D4,
+# Shi) and over F_p (the pentagon cone over F_31, intermediate over F_7)
+ZIEGLER_BRANCHES = {
+    "edelman-reiner": {False, True},
+    "xyzw": {False},
+    "xyzw-restriction": {False},
+    "pentagon-cone-31": {False, True},
+    "weyl-b3": {True},
+    "weyl-b4": {True},
+    "weyl-d4": {False, True},
+    "braid-5": {False},
+    "intermediate-4-1": {False, True},
+    "shi-b3-k1": {False, True},
+}
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
-def test_ziegler_gaps_match_reference_random(p):
+def test_ziegler_gaps_match_reference_random(p, ziegler_branches):
     field = QQ if p is None else PrimeField(p)
     rng = random.Random(223 if p is None else 223 + p)
     for dim in (3, 4, 5):
@@ -818,6 +857,8 @@ def test_ziegler_gaps_match_reference_random(p):
         arr = random_arrangement(rng, 3, rng.randint(4, 7), field=field)
         _assert_ziegler_gaps_match_reference(
             make_arrangement(field, 5, [list(cov) + [0, 0] for cov in arr.hyperplanes]))
+    # some calls need the kernel solve and some take the closed form on every wall
+    assert set(ziegler_branches) == {False, True}
 
 
 def test_local_codim3_xyzw_all_divide():
@@ -923,8 +964,12 @@ def test_local_check_matches_reference_random(p):
 
 def test_local_check_reads_one_lattice(monkeypatch):
     # the local check, b2_gap, free3_decide and division_equivalences (A^H of
-    # rank 3) each build L(A) once and restrict A once, and the Ziegler b2
-    # takes no charpoly, rank-2 lattice or localization of its own
+    # rank 3) each build L(A) once, and the Ziegler b2 takes no charpoly,
+    # rank-2 lattice or localization of its own.  The local check restricts A
+    # once, to name its flats of A^H; ziegler_gap restricts A once when some
+    # wall needs the kernel solve (the pentagon cone and B4 at hyperplane 0,
+    # the centre of B3's Ziegler restriction, B4's A^H) and never when every
+    # wall is in closed form (xyzw-restriction, the Edelman–Reiner A^H)
     calls = collections.Counter()
 
     def count(module, name):
@@ -949,17 +994,18 @@ def test_local_check_reads_one_lattice(monkeypatch):
     assert not hasattr(freeness, "restrict_to_hyperplane") and not hasattr(freeness, "free3_decide")
     pent = pentagon_cone(31)
     b4, er = weyl_b(4), edelman_reiner_restriction()
-    for run, args in ((local_codim3_division_check, (pent.arrangement, pent.infinite_index)),
-                      (local_codim3_division_check, (b4, 0)),
-                      (b2_gap, (pent.arrangement, pent.infinite_index)),
-                      (b2_gap, (b4, 0)),
-                      (free3_decide, (b3,)),
-                      (free3_decide, (xyzw3,)),
-                      (division_equivalences, (b4, 0)),
-                      (division_equivalences, (er, 3))):
+    for run, args, restrictions in ((local_codim3_division_check, (pent.arrangement, pent.infinite_index), 1),
+                                    (local_codim3_division_check, (b4, 0), 1),
+                                    (b2_gap, (pent.arrangement, pent.infinite_index), 1),
+                                    (b2_gap, (b4, 0), 1),
+                                    (free3_decide, (b3,), 1),
+                                    (free3_decide, (xyzw3,), 0),
+                                    (division_equivalences, (b4, 0), 1),
+                                    (division_equivalences, (er, 3), 0)):
         calls.clear()
         run(*args)
-        assert calls == {"build_lattice": 1, "restriction": 1}, run.__name__
+        # a Counter compares missing names as zero counts
+        assert calls == collections.Counter(build_lattice=1, restriction=restrictions), run.__name__
 
 
 def test_boolean_local_division_clean():
