@@ -44,17 +44,6 @@ EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 
 
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", nargs="?", help="arrangement JSON file")
-    parser.add_argument("--catalog", choices=CATALOG_NAMES, help="use a catalog arrangement")
-    parser.add_argument("--l", "--rank", dest="rank", type=int, help="catalog rank parameter")
-    parser.add_argument("--k", type=int, help="catalog k parameter (shi, intermediate)")
-    parser.add_argument("--r", type=int, help="catalog r parameter (intermediate)")
-    parser.add_argument("--p", type=int, help="catalog prime parameter")
-    parser.add_argument("--roots", choices=("A", "B", "C", "D"), help="root system type (shi)")
-    parser.add_argument("--json", dest="json_out", metavar="OUT", help="write a JSON report")
-
-
 def _catalog_entry(name: str, args) -> CatalogEntry:
     return build_entry(name, **{key: getattr(args, key) for key in ("rank", "k", "r", "p", "roots")
                                 if getattr(args, key) is not None})
@@ -317,59 +306,59 @@ def _cmd_verify_cert(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_CERTIFIED
 
 
-def _certificate_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--certificate", metavar="OUT", help="write the certificate JSON")
+_INPUT = (
+    (("input",), dict(nargs="?", help="arrangement JSON file")),
+    (("--catalog",), dict(choices=CATALOG_NAMES, help="use a catalog arrangement")),
+    (("--l", "--rank"), dict(dest="rank", type=int, help="catalog rank parameter")),
+    (("--k",), dict(type=int, help="catalog k parameter (shi, intermediate)")),
+    (("--r",), dict(type=int, help="catalog r parameter (intermediate)")),
+    (("--p",), dict(type=int, help="catalog prime parameter")),
+    (("--roots",), dict(choices=("A", "B", "C", "D"), help="root system type (shi)")),
+    (("--json",), dict(dest="json_out", metavar="OUT", help="write a JSON report")),
+)
+_CERTIFICATE = (("--certificate",), dict(metavar="OUT", help="write the certificate JSON"))
+_PIVOT = (("--pivot",), dict(type=int, default=0, help="hyperplane index"))
 
-
-def _budget_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=200_000, help="search node budget")
-
-
-def _pivot_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pivot", type=int, default=0, help="hyperplane index")
-
-
-def _catalog_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("name", choices=CATALOG_NAMES)
-    parser.add_argument("--l", "--rank", dest="rank", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--roots", choices=("A", "B", "C", "D"))
-    parser.add_argument("--emit", metavar="FILE", help="write the arrangement JSON")
-
-
-def _oracle_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--random", type=int, metavar="N", help="verify N random arrangements")
-    parser.add_argument("--seed", type=int, default=0, help="seed for --random")
-    parser.add_argument("--primes", type=int, nargs="*", help="point-count primes")
-
-
-def _verify_cert_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("arrangement", help="arrangement JSON file")
-    parser.add_argument("certificate", help="certificate JSON file")
-    parser.add_argument("--json", dest="json_out", metavar="OUT")
-
-
-# command -> (handler, option builders), in the order `divflag --help` lists them
+# command -> (handler, arguments), in the order `divflag --help` lists them;
+# an argument is its option strings or positional name and the keywords
+# build_parser passes to add_argument
 COMMANDS = {
-    "charpoly": (_cmd_charpoly, (_add_input_options,)),
-    "lattice": (_cmd_lattice, (_add_input_options,)),
-    "df-check": (_cmd_df_check, (_add_input_options, _certificate_option)),
-    "if-check": (_cmd_if_check, (_add_input_options, _certificate_option, _budget_option)),
-    "hdf-check": (_cmd_hdf_check, (_add_input_options,)),
-    "free3": (_cmd_free3, (_add_input_options,)),
-    "ziegler": (_cmd_ziegler, (_add_input_options, _pivot_option)),
-    "remainder": (_cmd_remainder, (_add_input_options, _pivot_option)),
-    "same-eq": (_cmd_same_eq, (_add_input_options, _pivot_option)),
-    "catalog": (_cmd_catalog, (_catalog_options,)),
-    "oracle-verify": (_cmd_oracle_verify, (_add_input_options, _oracle_options)),
-    "verify-cert": (_cmd_verify_cert, (_verify_cert_options,)),
+    "charpoly": (_cmd_charpoly, _INPUT),
+    "lattice": (_cmd_lattice, _INPUT),
+    "df-check": (_cmd_df_check, (*_INPUT, _CERTIFICATE)),
+    "if-check": (_cmd_if_check, (*_INPUT, _CERTIFICATE, (
+        ("--budget",), dict(type=int, default=200_000, help="search node budget")))),
+    "hdf-check": (_cmd_hdf_check, _INPUT),
+    "free3": (_cmd_free3, _INPUT),
+    "ziegler": (_cmd_ziegler, (*_INPUT, _PIVOT)),
+    "remainder": (_cmd_remainder, (*_INPUT, _PIVOT)),
+    "same-eq": (_cmd_same_eq, (*_INPUT, _PIVOT)),
+    "catalog": (_cmd_catalog, (
+        (("name",), dict(choices=CATALOG_NAMES)),
+        (("--l", "--rank"), dict(dest="rank", type=int)),
+        (("--k",), dict(type=int)),
+        (("--r",), dict(type=int)),
+        (("--p",), dict(type=int)),
+        (("--roots",), dict(choices=("A", "B", "C", "D"))),
+        (("--emit",), dict(metavar="FILE", help="write the arrangement JSON")),
+    )),
+    "oracle-verify": (_cmd_oracle_verify, (
+        *_INPUT,
+        (("--random",), dict(type=int, metavar="N", help="verify N random arrangements")),
+        (("--seed",), dict(type=int, default=0, help="seed for --random")),
+        (("--primes",), dict(type=int, nargs="*", help="point-count primes")),
+    )),
+    "verify-cert": (_cmd_verify_cert, (
+        (("arrangement",), dict(help="arrangement JSON file")),
+        (("certificate",), dict(help="certificate JSON file")),
+        (("--json",), dict(dest="json_out", metavar="OUT")),
+    )),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every command, or for ``command`` alone.
+    """The argparse parser of every command in COMMANDS, or of ``command``
+    alone; ``run`` builds one only for lines that ``_parse`` declines.
 
     A one-command parser names all commands in its usage line, so its help
     and error messages read exactly as the full parser's do.
@@ -381,23 +370,69 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (fn, options) in COMMANDS.items():
+    for name, (fn, arguments) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name)
-            for add_options in options:
-                add_options(p)
+            for names, keywords in arguments:
+                p.add_argument(*names, **keywords)
             p.set_defaults(fn=fn)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives when argv is a
+    command name, its declared options spelled in full, each with one value
+    not beginning with '-', and its declared positionals, every value passing
+    its type and choices; None for any other line.  Never prints or exits."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0], "fn": fn}
+    options, positionals = {}, []
+    for names, keywords in arguments:
+        if names[0][0] == "-":
+            dest = keywords.get("dest", names[0][2:].replace("-", "_"))
+            options.update(dict.fromkeys(names, (dest, keywords)))
+        else:
+            dest = names[0]
+            positionals.append((dest, keywords))
+        values[dest] = keywords.get("default")
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" and positionals:
+            dest, keywords = positionals.pop(0)
+        elif token in options and "nargs" not in options[token][1]:
+            (dest, keywords), token = options[token], next(tokens, "-")
+            if token[:1] == "-":
+                return None
+        else:
+            return None
+        try:
+            values[dest] = keywords.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and values[dest] not in keywords["choices"]:
+            return None
+    if any("nargs" not in keywords for _, keywords in positionals):
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv) -> int:
-    # only the command that runs gets a subparser; anything else (no
-    # arguments, -h, an unknown name) gets the full parser and its messages
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
+    """Run one command line and return its exit code.
+
+    A well-formed line is read straight from COMMANDS by ``_parse``.  Any
+    other line goes to argparse, which prints help, usage and every usage
+    error (exit 1): the parser of the command argv names, or the full parser
+    for no arguments, -h or an unknown name.
+    """
+    args = _parse(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
     except (ValueError, IndexError, OSError) as exc:

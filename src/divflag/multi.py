@@ -487,7 +487,8 @@ def local_codim3_division_check(arr: Arrangement, h: int):
         if y >> h & 1 and not intpoly.divides(lattice.restriction_chi(1, atom, everything & ~y),
                                               lattice.restriction_chi(0, 0, everything & ~y)):
             violations.append(y)
+    if not violations:
+        return True, ()
     restricted, trace = restriction(arr, lattice.flat(1, atom))
-    flats = tuple(Flat(restricted, 2, tuple(j for j, t in enumerate(trace) if y >> t[0] & 1))
-                  for y in violations)
-    return not flats, flats
+    return False, tuple(Flat(restricted, 2, tuple(j for j, t in enumerate(trace) if y >> t[0] & 1))
+                        for y in violations)

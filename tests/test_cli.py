@@ -5,8 +5,10 @@ import os
 import pathlib
 import random
 import re
+import shlex
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -496,24 +498,33 @@ def test_parser_registers_the_table():
 
 
 def test_run_builds_only_the_command_it_runs(monkeypatch):
+    # a well-formed line builds no parser; help and an unknown name build the
+    # full parser, a malformed line for a known command only that command's
     built = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
     assert run(["catalog", "boolean"]) == 0
+    assert built == []
     assert run(["--help"]) == 0
     assert run(["catalo"]) == 1
-    assert built == ["catalog", None, None]
+    assert built == [None, None]
+    assert run(["catalog", "boolean", "--bogus"]) == 1
+    assert run(["catalog", "--help"]) == 0
+    assert built == [None, None, "catalog", "catalog"]
 
 
 # --help, a missing positional, a bad positional or choice, a bad int,
-# extra arguments, an unknown option
+# extra arguments, an unknown option, an abbreviated option, --opt=value, a
+# negative number, --, and a repeated option (the last value wins)
 PARSE_CASES = [("--help",), (), ("nope",), ("--catalog", "nope"), ("--l", "x"),
-               ("a", "b", "c"), ("boolean", "--bogus")]
+               ("a", "b", "c"), ("boolean", "--bogus"), ("a", "--cert", "c"), ("a", "--json=x"),
+               ("a", "--budget", "-1"), ("--", "a"), ("a", "--json", "r", "--json", "s")]
 
 
 @pytest.mark.parametrize("columns", ["40", "200"])
 @pytest.mark.parametrize("command", COMMAND_ORDER)
-def test_one_command_parser_reads_as_the_full_parser(command, columns, monkeypatch, capsys):
+def test_one_command_parser_reads_as_the_full_parser(command, columns, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", columns)
     full = cli.build_parser
     for case in PARSE_CASES:
@@ -522,6 +533,118 @@ def test_one_command_parser_reads_as_the_full_parser(command, columns, monkeypat
         with monkeypatch.context() as m:
             m.setattr(cli, "build_parser", lambda command=None: full())
             assert (run(argv), capsys.readouterr()) == one, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def _argparse_namespace(argv):
+    try:
+        return build_parser(argv[0]).parse_args(argv)
+    except SystemExit:
+        return None
+
+
+# what _parse declines, and argparse reads: abbreviations, --opt=value, -h,
+# --help, -- and -, negative numbers, nargs="*", unknown, missing or extra
+# arguments, bad ints and bad choices
+DECLINED = [
+    [], ["nope"], ["--help"], ["-h"], ["df-check", "a", "--cert", "c"], ["lattice", "--cat", "braid"],
+    ["lattice", "a", "--json=x"], ["lattice", "--catalog=braid"], ["lattice", "-h"], ["lattice", "--help"],
+    ["lattice", "--", "a"], ["lattice", "-"], ["if-check", "a", "--budget", "-1"],
+    ["ziegler", "a", "--pivot", "-2"], ["oracle-verify", "--primes", "5", "7"], ["oracle-verify", "--primes"],
+    ["lattice", "a", "--bogus", "x"], ["lattice", "--json"], ["lattice", "a", "--json"], ["verify-cert", "a"],
+    ["verify-cert"], ["catalog"], ["catalog", "--l", "3"], ["lattice", "a", "b"], ["verify-cert", "a", "b", "c"],
+    ["catalog", "boolean", "x"], ["lattice", "--l", "x"], ["lattice", "--l", "1.5"], ["lattice", "--l", ""],
+    ["lattice", "--catalog", "nope"], ["lattice", "--roots", "E"], ["catalog", "nope"],
+    ["lattice", "--l", "3", "--l", "x"], ["lattice", "--catalog", "nope", "--catalog", "braid"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=lambda argv: shlex.join(argv) or "no-arguments")
+def test_parse_declines_what_argparse_reads(argv):
+    assert cli._parse(argv) is None
+
+
+def _draw_value(rng, keywords):
+    """A good value for the argument, or now and then a bad one."""
+    if "choices" in keywords:
+        good, bad = keywords["choices"], ["nope", keywords["choices"][0].upper()]
+    elif keywords.get("type") is int:
+        good, bad = ["3", "0", "12", " 7", "+2", "1_0", "\u0663"], ["x", "1.5", "", "-1"]
+    else:
+        good, bad = ["a.json", "b", "", "x y"], ["-", "--json"]
+    return rng.choice(bad if rng.random() < 0.1 else good)
+
+
+def _draw_line(rng, command):
+    """A seeded command line from the command's declarations: options in any
+    order, some repeated, some dropped, good and bad values, and missing and
+    extra positionals; now and then a token that _parse declines."""
+    _, arguments = cli.COMMANDS[command]
+    positionals = [keywords for names, keywords in arguments if names[0][0] != "-"]
+    options = [(names, keywords) for names, keywords in arguments if names[0][0] == "-"]
+    given = len(positionals) if rng.random() < 0.7 else rng.randint(0, len(positionals))
+    items = [[_draw_value(rng, keywords)] for keywords in positionals[:given]]
+    if rng.random() < 0.2:
+        items.append([_draw_value(rng, rng.choice(positionals or [{}]))])
+    for _ in range(rng.randint(0, len(options) + 1)):
+        names, keywords = rng.choice(options)
+        items.insert(rng.randint(0, len(items)), [rng.choice(names), _draw_value(rng, keywords)])
+    if rng.random() < 0.2:
+        names, keywords = rng.choice(options)
+        value = _draw_value(rng, keywords)
+        items.insert(rng.randint(0, len(items)), rng.choice([
+            [names[0][:-1], value], [f"{names[0]}={value}"], ["-h"], ["--help"], ["--"], ["-"],
+            [names[0], "-1"], ["--bogus", value], [names[0]], ["--primes", "5", "7"]]))
+    return [command, *(token for item in items for token in item)]
+
+
+@pytest.mark.parametrize("command", COMMAND_ORDER)
+def test_parse_gives_the_argparse_namespace(command):
+    rng = random.Random(f"parse {command}")
+    fast = 0
+    for _ in range(200):
+        argv = _draw_line(rng, command)
+        namespace = cli._parse(argv)
+        if namespace is not None:
+            fast += 1
+            expected = _argparse_namespace(argv)
+            assert expected is not None and vars(namespace) == vars(expected), argv
+    assert fast >= 50, fast
+
+
+def test_optional_positionals_come_last():
+    # _parse hands positionals their values in order, as argparse does when
+    # no optional positional precedes a required one
+    for _, arguments in cli.COMMANDS.values():
+        nargs = [keywords.get("nargs") for names, keywords in arguments if names[0][0] != "-"]
+        assert nargs == sorted(nargs, key=bool)
+
+
+def _readme_cli_lines():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def _workload_lines(tmp_path, monkeypatch):
+    """Every command line the CLI workloads of bench/workloads.py issue."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+    import workloads
+    lines = []
+    recorder = types.SimpleNamespace(cli=types.SimpleNamespace(run=lambda argv: lines.append(argv) or 0))
+    for name in ("lattice-large", "certify"):
+        for op in workloads.WORKLOADS[name](divflag, 1, str(tmp_path)):
+            op.run(recorder)
+    return lines
+
+
+def test_readme_and_workload_lines_take_the_fast_path(tmp_path, monkeypatch):
+    readme, issued = _readme_cli_lines(), _workload_lines(tmp_path, monkeypatch)
+    assert len(readme) == 13 and issued
+    for argv in readme + issued:
+        namespace = cli._parse(argv)
+        assert namespace is not None, argv
+        assert vars(namespace) == vars(build_parser(argv[0]).parse_args(argv)), argv
 
 
 def test_malformed_json_input(tmp_path):
