@@ -306,16 +306,17 @@ def _cmd_verify_cert(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_CERTIFIED
 
 
-_INPUT = (
-    (("input",), dict(nargs="?", help="arrangement JSON file")),
-    (("--catalog",), dict(choices=CATALOG_NAMES, help="use a catalog arrangement")),
+_CATALOG_PARAMETERS = (
     (("--l", "--rank"), dict(dest="rank", type=int, help="catalog rank parameter")),
     (("--k",), dict(type=int, help="catalog k parameter (shi, intermediate)")),
     (("--r",), dict(type=int, help="catalog r parameter (intermediate)")),
     (("--p",), dict(type=int, help="catalog prime parameter")),
     (("--roots",), dict(choices=("A", "B", "C", "D"), help="root system type (shi)")),
-    (("--json",), dict(dest="json_out", metavar="OUT", help="write a JSON report")),
 )
+_JSON = (("--json",), dict(dest="json_out", metavar="OUT", help="write a JSON report"))
+_INPUT = ((("input",), dict(nargs="?", help="arrangement JSON file")),
+          (("--catalog",), dict(choices=CATALOG_NAMES, help="use a catalog arrangement")),
+          *_CATALOG_PARAMETERS, _JSON)
 _CERTIFICATE = (("--certificate",), dict(metavar="OUT", help="write the certificate JSON"))
 _PIVOT = (("--pivot",), dict(type=int, default=0, help="hyperplane index"))
 
@@ -334,12 +335,8 @@ COMMANDS = {
     "remainder": (_cmd_remainder, (*_INPUT, _PIVOT)),
     "same-eq": (_cmd_same_eq, (*_INPUT, _PIVOT)),
     "catalog": (_cmd_catalog, (
-        (("name",), dict(choices=CATALOG_NAMES)),
-        (("--l", "--rank"), dict(dest="rank", type=int)),
-        (("--k",), dict(type=int)),
-        (("--r",), dict(type=int)),
-        (("--p",), dict(type=int)),
-        (("--roots",), dict(choices=("A", "B", "C", "D"))),
+        (("name",), dict(choices=CATALOG_NAMES, help="catalog arrangement name")),
+        *_CATALOG_PARAMETERS,
         (("--emit",), dict(metavar="FILE", help="write the arrangement JSON")),
     )),
     "oracle-verify": (_cmd_oracle_verify, (
@@ -351,7 +348,7 @@ COMMANDS = {
     "verify-cert": (_cmd_verify_cert, (
         (("arrangement",), dict(help="arrangement JSON file")),
         (("certificate",), dict(help="certificate JSON file")),
-        (("--json",), dict(dest="json_out", metavar="OUT")),
+        _JSON,
     )),
 }
 

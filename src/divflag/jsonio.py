@@ -11,9 +11,9 @@ indent, keys sorted, ASCII only (other characters as ``\\u`` escapes), and a
 trailing newline.  ``save_json`` is this module's own encoder, not
 ``json.dump``, whose indenting encoder is pure Python and about twice as
 slow; ``tests/test_jsonio.py`` holds it to ``json.dumps`` byte for byte.
-The flats of a lattice report (``lattice_report``) are pre-encoded, each
-formatted from its member mask as the text ``save_json`` writes at its
-depth; the tests hold those reports to ``json.dumps`` of the plain dicts.
+The flats of a lattice report (``lattice_report``) are encoded from their
+member masks one at a time, as ``save_json`` writes them; the tests hold
+those reports to ``json.dumps`` of the plain dicts.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def arrangement_from_json(data) -> Arrangement:
     dim = data["dim"]
     if not _is_int(dim):
         raise SchemaError("'dim' must be an integer")
+    if dim < 1:
+        raise SchemaError(f"'dim' must be at least 1, got {dim}")
     hyperplanes = data["hyperplanes"]
     if not isinstance(hyperplanes, list) or not all(isinstance(h, list) for h in hyperplanes):
         raise SchemaError("'hyperplanes' must be a list of covectors")
@@ -75,10 +77,6 @@ def load_arrangement(path: str) -> Arrangement:
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INT_ONLY = frozenset((int,))
-
-
-class _Encoded(str):
-    """Finished output text, which ``save_json`` writes as it is."""
 
 
 class _KeyPrefixes(dict):
@@ -108,8 +106,6 @@ def save_json(path: str, data) -> None:
         kind = type(value)
         if kind is int:
             return int.__repr__(value)
-        if kind is _Encoded:
-            return value
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         if value is None or kind is bool:
@@ -134,21 +130,22 @@ def save_json(path: str, data) -> None:
 
     def write(value, nl: str, levels: int) -> None:
         """Write ``value``, streaming its outer ``levels`` container levels."""
-        if not (levels and isinstance(value, (list, tuple, dict)) and value):
+        if not (levels and isinstance(value, (list, tuple, dict, _Flats)) and value):
             fh.write(encode(value, nl))
             return
-        inner = nl + "  "
-        if isinstance(value, dict):
-            fh.write("{")
-            items = [(prefix[key], x) for key, x in sorted(value.items())]
+        sep = inner = nl + "  "
+        fh.write("{" if isinstance(value, dict) else "[")
+        if type(value) is _Flats:  # finished texts, one write each
+            for text in value:
+                fh.write(sep + text)
+                sep = "," + inner
         else:
-            fh.write("[")
-            items = zip(repeat(""), value)
-        sep = inner
-        for head, item in items:
-            fh.write(sep + head)
-            write(item, inner, levels - 1)
-            sep = "," + inner
+            items = ([(prefix[key], x) for key, x in sorted(value.items())]
+                     if isinstance(value, dict) else zip(repeat(""), value))
+            for head, item in items:
+                fh.write(sep + head)
+                write(item, inner, levels - 1)
+                sep = "," + inner
         fh.write(nl + ("}" if isinstance(value, dict) else "]"))
 
     with open(path, "w") as fh:
@@ -156,25 +153,39 @@ def save_json(path: str, data) -> None:
         fh.write("\n")
 
 
+class _Flats:
+    """The ``"flats"`` of a lattice report: iterating makes, one flat at a
+    time, the text ``save_json`` writes for each item ``{"codim": ...,
+    "members": [...], "mobius": ...}``, its members looked up by mask byte."""
+
+    def __init__(self, lattice: IntersectionLattice):
+        n = len(lattice.arrangement)
+        self.lattice, self.tables, self.tails = lattice, [], {}  # tails: Möbius value -> text
+        for low in range(0, n, 8):  # tables[j][b]: the members 8j + i for the set bits i of b
+            table = [""]
+            for piece in (",\n        " + str(h) for h in range(low, min(low + 8, n))):
+                table += [text + piece for text in table]
+            self.tables.append(table)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.lattice.mobius))
+
+    def __iter__(self):
+        lattice, tables, tails = self.lattice, self.tables, self.tails
+        for codim, mob in enumerate(lattice.mobius):
+            head = f'{{\n      "codim": {codim},\n      "members": ['
+            for mask, mu in zip(map(lattice.mask, repeat(codim), range(len(mob))), mob):
+                members = "".join(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+                tail = tails.get(mu) or tails.setdefault(mu, f',\n      "mobius": {mu}\n    }}')
+                yield f"{head}{members[1:]}\n      ]{tail}" if members else f"{head}]{tail}"
+
+
 def lattice_report(lattice: IntersectionLattice, chi: intpoly.IntPoly) -> dict:
     """The ``divflag lattice --json`` report: level sizes, one item per flat
-    with its codim, members and Möbius value, and chi.  Each flat is the
-    text ``save_json`` writes for ``{"codim": ..., "members": [...],
-    "mobius": ...}`` as an item of ``"flats"``, formatted from its member
-    mask with no member list made."""
-    piece = [",\n        " + str(h) for h in range(len(lattice.arrangement))]
-    flats = []
-    for codim, mob in enumerate(lattice.mobius):
-        head = f'{{\n      "codim": {codim},\n      "members": ['
-        for index, mu in enumerate(mob):
-            mask, parts = lattice.mask(codim, index), []
-            while mask:
-                low = mask & -mask
-                parts.append(piece[low.bit_length() - 1])
-                mask ^= low
-            members = "".join(parts)[1:] + "\n      ]" if parts else "]"
-            flats.append(_Encoded(f'{head}{members},\n      "mobius": {mu}\n    }}'))
-    return {"level_sizes": list(lattice.level_sizes()), "flats": flats, "chi": poly_to_json(chi)}
+    with its codim, members and Möbius value, and chi; its ``"flats"`` are
+    encoded as ``save_json`` writes them."""
+    return {"level_sizes": list(lattice.level_sizes()), "flats": _Flats(lattice),
+            "chi": poly_to_json(chi)}
 
 
 def poly_to_json(f: intpoly.IntPoly) -> list[int]:

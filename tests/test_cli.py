@@ -402,6 +402,16 @@ def test_input_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, argv, 
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim,message", [
+    (0, "'dim' must be at least 1, got 0"), (-1, "'dim' must be at least 1, got -1"),
+    (True, "'dim' must be an integer"), (1.5, "'dim' must be an integer")])
+def test_dim_errors_name_dim(tmp_path, capsys, dim, message):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": "Q", "dim": dim, "hyperplanes": []}))
+    assert run(["lattice", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _json_paths(doc, path=()):
     """The path of every value inside a JSON document, depth first."""
     if isinstance(doc, (dict, list)):
@@ -495,6 +505,12 @@ def test_parser_registers_the_table():
     assert set(re.findall(r"^divflag ([a-z0-9-]+)", readme.read_text(), re.M)) == set(COMMAND_ORDER)
     for name in COMMAND_ORDER:
         assert _subcommands(build_parser(name)) == [name]
+
+
+def test_every_declared_argument_has_help():
+    for name, (_, arguments) in cli.COMMANDS.items():
+        for names, keywords in arguments:
+            assert keywords.get("help"), (name, names)
 
 
 def test_run_builds_only_the_command_it_runs(monkeypatch):

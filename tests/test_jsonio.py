@@ -136,6 +136,47 @@ def test_lattice_report_writes_the_reference_bytes(tmp_path, name, arr):
         oracle(_reference_lattice_report(lat, chi))
 
 
+def _byte_table_inputs():
+    """n lines in the plane for n on either side of each multiple of 8, whose
+    top flat's mask fills every byte table, and 20 planes in space, whose
+    masks mix several members in one byte."""
+    for field in (QQ, PrimeField(67)):
+        for n in (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+            lines = [[0, 1]] + [[1, k] for k in range(n - 1)] if n else []
+            random.Random(n).shuffle(lines)
+            yield f"{field}-lines-{n}", make_arrangement(field, 2, lines)
+    yield "planes-20", random_arrangement(random.Random(25), 3, 20, coeff_lo=-3, coeff_hi=3)
+
+
+@pytest.mark.parametrize("name,arr", list(_byte_table_inputs()))
+def test_lattice_report_across_byte_tables(tmp_path, name, arr):
+    lat = build_lattice(arr)
+    chi = lat.restriction_chi(0, 0)
+    assert written(tmp_path, lattice_report(lat, chi)) == oracle(_reference_lattice_report(lat, chi))
+
+
+def test_lattice_report_flats_iterate_again():
+    lat = build_lattice(weyl_b(4))
+    flats = lattice_report(lat, lat.restriction_chi(0, 0))["flats"]
+    texts = list(flats)
+    assert list(flats) == texts and len(flats) == len(texts) == sum(lat.level_sizes())
+
+
+def test_lattice_report_peak_memory_below_half_the_file(tmp_path):
+    # the report is made inside the window: its flats' texts are made and
+    # dropped one at a time, so the peak stays far below the file it writes
+    lat = build_lattice(weyl_b(6))
+    chi = lat.restriction_chi(0, 0)
+    path = tmp_path / "b6.json"
+    tracemalloc.start()
+    try:
+        save_json(str(path), lattice_report(lat, chi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size // 2
+
+
 def _b6_reports() -> tuple[bytes, list[dict]]:
     """The B6 report's expected bytes, and the report as dicts and pre-encoded."""
     lat = build_lattice(weyl_b(6))
