@@ -10,6 +10,7 @@ cover, from which the covers are read.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass, field as dc_field
 from math import lcm
 from operator import itemgetter
@@ -189,22 +190,28 @@ class IntersectionLattice:
         return intpoly.poly(coeffs)
 
 
-def _row_order(field, level):
+def _row_order(field, level, den, heads):
     """Sort key ordering the entries of a level by their rows (entry[0]).
 
     Over Q the rows are fraction-free: row i, scaled by L/d_i for d_i its
     pivot and L the lcm of the level's pivots, is L times the rref row.
     Every flat of a level has as many rows, so the flattened integers sort
-    in the order of the rref rows, and the sort compares ints.  When L is 1
-    (every pivot is 1, as on every level of a Weyl or braid arrangement)
-    the scaled rows are the rows themselves, and so are the keys over F_p.
+    in the order of the rref rows, and the sort compares ints.  The build
+    carries L as ``den``, and the rows are scanned only when it is 0.  When
+    L is 1 (as on every level of a Weyl or braid arrangement) the keys are
+    the rows, as over F_p.  If also ``heads`` (each flat has its finder's
+    rows under a new head row), flats with one head row differ in their
+    finders' rows and come in their finders' order: sorting stably by the
+    head row is the rref order.
     """
-    den = 1 if field != QQ else lcm(
-        *(row[c] for entry in level for row, c in zip(entry[0], entry[1])))
-    if den == 1:
-        return itemgetter(0)
-    return lambda entry: tuple(x * (den // row[c]) for row, c in zip(entry[0], entry[1])
-                               for x in row)
+    if field != QQ:
+        den = 1
+    elif not den:
+        den = lcm(*(row[c] for entry in level for row, c in zip(entry[0], entry[1])))
+    if den != 1:
+        return lambda entry: tuple(x * (den // row[c]) for row, c in zip(entry[0], entry[1])
+                                   for x in row)
+    return (lambda entry: entry[0][0]) if heads else itemgetter(0)
 
 
 def build_lattice(arr: Arrangement, max_codim: int | None = None) -> IntersectionLattice:
@@ -219,12 +226,14 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     names the exact member mask of its cover, and the next level is every
     such mask, found once.  V's classes are the hyperplanes themselves.
 
-    The first Y in level order to reach X gives X its rows,
-    ``insert(rows(Y), r)``, one per flat, and its partition: each other
-    class r' of Y keeps its bits and its residual reduced by r alone.  That
-    residual is canonical for X: r' − (r'[ℓ]/r[ℓ])·r, for ℓ the lead of r,
-    vanishes on every pivot of X and lies in the span of any covector of
-    the class and the rows of X, and a canonical residual is unique.  When
+    The first Y in level order to reach X gives X its rows, Y's with r
+    placed by its lead ℓ; ``insert`` runs only to eliminate, when a row of
+    Y is nonzero at ℓ (never in a Weyl or braid arrangement).  Y also gives
+    X its partition: each other class r' of Y keeps its bits and its
+    residual reduced by r alone.  That residual is canonical for X:
+    r' − (r'[ℓ]/r[ℓ])·r vanishes on every pivot of X and lies in the span
+    of any covector of the class and the rows of X, and a canonical
+    residual is unique.  When
     r'[ℓ] = 0, r' is already canonical and kept as it is.  The reduction
     depends on (r, r') only, and in a root system the same pairs recur
     across the build (Weyl B6: 360 distinct pairs for 19 724 reductions),
@@ -234,7 +243,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     ids; the tables are local to the call.  A line X (codimension dim - 1)
     needs none: its only cover is the origin, so its partition is one
     class, every non-member, whose residual is the unit vector of the one
-    column that is not a pivot of X.
+    column that is not a pivot of X, made when a line first needs it.
 
     Every cover pair Y ⋖ X is visited, and with m = max(X) the pairs that
     avoid H_m are those with m in Y's class.  Weisner's theorem for the atom
@@ -270,10 +279,12 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     # a partition maps the residual id of each class to its bits
     partition = {h: 1 << h for h in range(len(vecs))}
     masks, mobius, classes = [(0,)], [(1,)], []
-    # the flats of the last level: [rows, pivots, member mask, μ, partition]
-    frontier = [[(), (), 0, 1, partition]]
-    # e_c, the residual of every non-member of a line whose free column is c
-    units = [tuple(int(i == c) for i in range(arr.dim)) for c in range(arr.dim)]
+    # the flats of the last level: [rows, pivots, member mask, μ, partition, pivot lcm]
+    frontier = [[(), (), 0, 1, partition, 1]]
+    # c -> id of e_c, the residual of every non-member of a line whose free column is c
+    units: dict[int, int] = {}
+    # a level has at most C(dim, codim) pivot sets, each kept as one tuple
+    pivot_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
     everything = (1 << len(arr)) - 1
     # class id r -> (its lead, {id s -> id of s reduced by r}): the same pair
     # recurs across the flats of a root system
@@ -281,19 +292,38 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     while len(masks) <= limit:
         partitioned = len(masks) < limit  # the new level is not the last one
         lines = len(masks) == arr.dim - 1
-        found: dict[int, list] = {}  # member mask -> [rows, pivots, mask, Σμ, partition]
+        found: dict[int, list] = {}  # member mask -> [rows, pivots, mask, Σμ, partition, lcm]
+        heads = True  # every new flat's rows are its finder's under a new head row
         frontier.reverse()
         level_classes: list[tuple[int, ...]] = []
         classes.append(level_classes)
         while frontier:
-            rows, pivots, mask, mu, partition = frontier.pop()
+            rows, pivots, mask, mu, partition, den = frontier.pop()
             level_classes.append(tuple(partition.values()))
             for r, bits in partition.items():
                 x = mask | bits
                 entry = found.get(x)
                 if entry is None:
                     vr = vecs[r]
-                    new_rows, new_pivots = insert(rows, pivots, vr)
+                    known = reductions.get(r)
+                    if known is None:
+                        for lead, a in enumerate(vr):
+                            if a:
+                                break
+                        known = reductions[r] = (lead, {})
+                    lead, reduced = known
+                    for row in rows:
+                        if row[lead]:
+                            new_rows, new_pivots = insert(rows, pivots, vr)
+                            new_den, heads = 0, False
+                            break
+                    else:
+                        k = bisect(pivots, lead)
+                        if k:
+                            heads = False
+                        new_rows = rows[:k] + (vr,) + rows[k:]
+                        new_pivots = pivots[:k] + (lead,) + pivots[k:]
+                        new_den = den if vr[lead] == 1 else lcm(den, vr[lead])
                     child = None
                     if lines and partitioned:
                         # a line's only cover is the origin; its pivots are
@@ -301,15 +331,10 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                         # less theirs
                         rest = everything & ~x
                         free = arr.dim * (arr.dim - 1) // 2 - sum(new_pivots)
-                        child = {intern(units[free]): rest} if rest else {}
+                        if free not in units:
+                            units[free] = intern(tuple(int(i == free) for i in range(arr.dim)))
+                        child = {units[free]: rest} if rest else {}
                     elif partitioned:
-                        known = reductions.get(r)
-                        if known is None:
-                            for lead, a in enumerate(vr):
-                                if a:
-                                    break
-                            known = reductions[r] = (lead, {})
-                        lead, reduced = known
                         child = {}
                         for s, other in partition.items():
                             if s != r:
@@ -321,7 +346,8 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                                         residual((vr,), (lead,), vs)) if vs[lead] else s
                                 # a new class is Y's int itself, not a copy of it
                                 child[t] = child[t] | other if t in child else other
-                    entry = found[x] = [new_rows, new_pivots, x, 0, child]
+                    new_pivots = pivot_sets.setdefault(new_pivots, new_pivots)
+                    entry = found[x] = [new_rows, new_pivots, x, 0, child, new_den]
                 # bits and mask are disjoint, so max(X) is in Y's class
                 # exactly when bits > mask
                 if bits > mask:
@@ -329,7 +355,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
         if not found:
             break
         frontier = list(found.values())
-        frontier.sort(key=_row_order(field, frontier))
+        frontier.sort(key=_row_order(field, frontier, lcm(*(e[5] for e in frontier)), heads))
         for entry in frontier:
             entry[3] = -entry[3]
         masks.append(tuple(entry[2] for entry in frontier))

@@ -3,10 +3,11 @@ import fractions
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from divflag import exactalg, freeness, intpoly, multi
+from divflag import exactalg, freeness, intpoly, lattice, multi
 from divflag.arrangement import (
     ArrangementError,
     Flat,
@@ -171,6 +172,82 @@ def test_build_matches_reference_catalog(name, arr):
         _assert_matches_reference(restrict_to_hyperplane(arr, h).arrangement)
 
 
+F_P = PrimeField(2**31 - 1)
+
+
+def _shuffled(base, seed, field=QQ):
+    """The hyperplanes of ``base`` in a seeded order, over Q or reduced mod p."""
+    covs = list(base.hyperplanes)
+    random.Random(seed).shuffle(covs)
+    if field != QQ:
+        covs = [[x % field.p for x in cov] for cov in covs]
+    return make_arrangement(field, base.dim, covs)
+
+
+# the shapes of the large benchmark lattices at a smaller rank: every level
+# is ordered by its head rows
+HEAD_ROW_CASES = [(f"{name}-{field.kind}", _shuffled(base, seed, field))
+                  for name, base, seed in (("weyl-b5", weyl_b(5), 5), ("braid6", braid(6), 6))
+                  for field in (QQ, F_P)]
+
+
+@pytest.mark.parametrize("name,arr", HEAD_ROW_CASES, ids=[name for name, _ in HEAD_ROW_CASES])
+def test_build_matches_reference_shuffled_at_every_cap(name, arr):
+    for cap in (None, *range(1, arr.dim + 1)):
+        _assert_matches_reference(arr, max_codim=cap)
+
+
+def _sort_paths(monkeypatch, arr):
+    """(carried pivot lcm, heads flag, key) for each level of a build, the
+    key "head" (the head row), "rows" (the rows) or "scaled" (the rows
+    scaled to the level's lcm), read by applying it to the level."""
+    paths, row_order = [], lattice._row_order
+
+    def spy(field, level, den, heads):
+        key = row_order(field, level, den, heads)
+        if all(key(entry) is entry[0][0] for entry in level):
+            paths.append((den, heads, "head"))
+        else:
+            paths.append((den, heads, "rows" if all(key(e) is e[0] for e in level) else "scaled"))
+        return key
+
+    monkeypatch.setattr(lattice, "_row_order", spy)
+    build_lattice(arr)
+    monkeypatch.undo()
+    return paths
+
+
+def test_level_order_takes_each_path(monkeypatch):
+    """Every level of the shuffled Weyl B5 and braid 6 is sorted by its head
+    rows; Weyl D5, Shi A3 (k = 2) and Edelman-Reiner each sort a level by
+    its full rows after an elimination; Weyl B3 with x1 halved carries its
+    pivot lcm 2 and never scans its rows for it."""
+    for name, arr in HEAD_ROW_CASES:
+        paths = _sort_paths(monkeypatch, arr)
+        assert paths == [(1, True, "head")] * rank_of(arr), name
+    for arr in (weyl_d(5), build_entry("shi", roots="A", rank=3, k=2).arrangement,
+                build_entry("edelman-reiner").arrangement):
+        assert (0, False, "rows") in _sort_paths(monkeypatch, arr), arr
+    paths = _sort_paths(monkeypatch, make_arrangement(QQ, 3, B3_HALF))
+    assert (2, True, "scaled") in paths
+    assert all(den for den, _, _ in paths)
+
+
+def test_build_of_a_wide_space_makes_no_square_table():
+    """Two hyperplanes in dimension 3000: the build allocates about its
+    rows, not a dim x dim table of unit covectors."""
+    dim = 3000
+    arr = make_arrangement(QQ, dim, [[int(i == h) for i in range(dim)] for h in (0, 1)])
+    tracemalloc.start()
+    try:
+        lat = build_lattice(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.level_sizes() == (1, 2, 1)
+    assert peak < 1 << 20
+
+
 def _built(lat):
     """What a build returns: masks, Möbius values and the cover classes."""
     return lat._masks, lat.mobius, [[sorted(c) for c in level] for level in lat._classes]
@@ -329,20 +406,29 @@ def _lowest(bits):
     return (bits & -bits).bit_length() - 1
 
 
-def test_build_makes_one_insert_per_flat(monkeypatch):
-    """On Weyl B4 the build makes one insert per flat other than V and one
-    one-row reduction per distinct pair of the build, and no residual at V,
-    where each normalized covector is its own class: a new flat X of codimension below dim - 1 takes its
-    partition from the first flat Y of the level above that it covers,
-    reducing each other class r' of Y that is nonzero at the lead of X's
-    class r by r.  A line's one class needs no reduction."""
-    arr = weyl_b(4)
-    calls = {"residual_int": 0, "insert_int": 0}
-    for name in calls:
+def _counting(monkeypatch, names):
+    """Wrap the named ``exactalg`` functions; returns their call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _fn=getattr(exactalg, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(exactalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("arr,sizes", [(weyl_b(4), (16, 96, 115)), (braid(5), (10, 30, 51))],
+                         ids=["weyl-b4", "braid5"])
+def test_build_eliminates_nothing_on_weyl_b_and_braid(monkeypatch, arr, sizes):
+    """On Weyl B4 and braid 5 the build makes no insert: each flat X's
+    rows are its finder's rows under X's class residual, which no finder
+    row is nonzero at.  It makes one one-row reduction per distinct pair of
+    the build, and no residual at V, where each normalized covector is its
+    own class: a new flat X of codimension below dim - 1 takes its
+    partition from the first flat Y of the level above that it covers,
+    reducing each other class r' of Y that is nonzero at the lead of X's
+    class r by r.  A line's one class needs no reduction."""
+    calls = _counting(monkeypatch, ("residual_int", "insert_int"))
     lat = build_lattice(arr)
     monkeypatch.undo()
     residual = int_elimination(arr.field)[0]
@@ -361,8 +447,22 @@ def test_build_makes_one_insert_per_flat(monkeypatch):
                 if other != r and other[_lead(r)]:
                     pairs.add((r, other))
     flats = sum(lat.level_sizes())
-    assert calls == {"residual_int": len(pairs), "insert_int": flats - 1}
-    assert (len(arr), len(pairs), flats - 1) == (16, 96, 115)
+    assert calls == {"residual_int": len(pairs), "insert_int": 0}
+    assert (len(arr), len(pairs), flats - 1) == sizes
+
+
+@pytest.mark.parametrize("arr", [weyl_d(4), build_entry("edelman-reiner").arrangement],
+                         ids=["weyl-d4", "edelman-reiner"])
+def test_build_inserts_to_eliminate(monkeypatch, arr):
+    """Some rref rows of Weyl D4 and of the Edelman-Reiner arrangement are
+    not covectors of A, so some finder has a row nonzero at the lead of the
+    class it extends by: the build inserts to eliminate there, and still
+    equals the reference."""
+    calls = _counting(monkeypatch, ("insert_int",))
+    build_lattice(arr)
+    monkeypatch.undo()
+    assert calls["insert_int"] > 0
+    _assert_matches_reference(arr)
 
 
 def test_build_leaves_normal_spaces_unread_and_makes_no_fraction():
