@@ -168,7 +168,17 @@ def _intermediate_raw(rank: int, k: int, r: int, p: int) -> Arrangement:
         raise CatalogError(f"intermediate arrangement degenerates over F_{p}: {exc}") from None
 
 
-def intermediate(rank: int, k: int, r: int, p: int, validation_prime: int | None = None) -> Arrangement:
+def _second_prime(arr: Arrangement, build, p: int, r: int) -> Arrangement:
+    """``arr``, the realization ``build(p)``, once ``build`` at the next prime
+    q = 1 (mod r) gives a lattice with the same level sizes."""
+    q = _next_good_prime(p, r)
+    sizes, sizes2 = build_lattice(arr).level_sizes(), build_lattice(build(q)).level_sizes()
+    if sizes != sizes2:
+        raise CatalogError(f"lattice disagrees between F_{p} {sizes} and F_{q} {sizes2}")
+    return arr
+
+
+def intermediate(rank: int, k: int, r: int, p: int) -> Arrangement:
     """Coordinate hyperplanes x_1..x_k together with x_i = z^n x_j for an
     order-r element z of F_p; validated against a second prime."""
     if not 0 <= k <= rank:
@@ -178,16 +188,7 @@ def intermediate(rank: int, k: int, r: int, p: int, validation_prime: int | None
     if not is_prime(p):
         raise CatalogError(f"{p} is not prime")
     arr = _intermediate_raw(rank, k, r, p)
-    p2 = validation_prime if validation_prime is not None else _next_good_prime(p, r)
-    if p2 == p or not is_prime(p2) or (r > 1 and (p2 - 1) % r != 0):
-        raise CatalogError(f"invalid validation prime {p2}")
-    arr2 = _intermediate_raw(rank, k, r, p2)
-    sizes, sizes2 = build_lattice(arr).level_sizes(), build_lattice(arr2).level_sizes()
-    if sizes != sizes2:
-        raise CatalogError(
-            f"lattice disagrees between F_{p} {sizes} and F_{p2} {sizes2}"
-        )
-    return arr
+    return _second_prime(arr, lambda q: _intermediate_raw(rank, k, r, q), p, r)
 
 
 def edelman_reiner_restriction() -> Arrangement:
@@ -226,14 +227,21 @@ def _sqrt_mod(p: int, n: int) -> int:
     raise CatalogError(f"{n} is not a square modulo {p}")
 
 
-def pentagon_cone(p: int = 31, validation: bool = True) -> PentagonCone:
+def pentagon_cone(p: int = 31) -> PentagonCone:
     """Cone (twice) of the edges and diagonals of a regular pentagon.
 
     The pentagon lives over F_p via the golden ratio: vertices are
     (cos, sin/sin72)-coordinates, which only involve sqrt(5).  Realizes 11
     planes whose second coning has the one flat common to all of them;
-    validates the counts |A| = 11 and |A^H| = 5 for every pentagon plane.
+    validates the counts |A| = 11 and |A^H| = 5 for every pentagon plane,
+    and the lattice against a second prime.
     """
+    pent = _pentagon_raw(p)
+    _second_prime(pent.arrangement, lambda q: _pentagon_raw(q).arrangement, p, 5)
+    return pent
+
+
+def _pentagon_raw(p: int) -> PentagonCone:
     if not is_prime(p):
         raise CatalogError(f"{p} is not prime")
     if p % 5 != 1:
@@ -276,142 +284,49 @@ def pentagon_cone(p: int = 31, validation: bool = True) -> PentagonCone:
     special = flat_from_members(coned, range(11))
     if special.codim != 3 or len(special.members) != 11:
         raise CatalogError("special pentagon flat degenerates")
-    if validation:
-        alt = _next_pentagon_prime(p)
-        other = pentagon_cone(alt, validation=False)
-        s1 = build_lattice(coned).level_sizes()
-        s2 = build_lattice(other.arrangement).level_sizes()
-        if s1 != s2:
-            raise CatalogError(f"pentagon lattice disagrees between F_{p} and F_{alt}")
     return PentagonCone(coned, infinite, special)
-
-
-def _next_pentagon_prime(p: int) -> int:
-    q = p + 1
-    while True:
-        if is_prime(q) and q % 5 == 1:
-            return q
-        q += 1
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named arrangement with optional expected data for cross-checks."""
+    """A named arrangement with its closed-form chi, where one is known."""
 
     name: str
     arrangement: Arrangement
-    expected_chi: intpoly.IntPoly | None = None
-    expected_exponents: tuple[int, ...] | None = None
-    provenance: str = ""
+    expected_chi: intpoly.IntPoly | None
 
 
-def _shi_entry(type_: str, rank: int, k: int) -> CatalogEntry:
-    spec = RootSystemSpec(type_, rank)
-    h = spec.coxeter_number
-    chi = intpoly.from_roots([1] + [k * h] * rank)
-    return CatalogEntry(
-        name=f"shi-{type_.lower()}{rank}-k{k}",
-        arrangement=shi(spec, k),
-        expected_chi=chi,
-        expected_exponents=tuple(sorted([1] + [k * h] * rank)),
-        provenance="closed-form",
-    )
+def _shi_entry(rank: int = 2, k: int = 1, roots: str = "A", **_):
+    spec = RootSystemSpec(roots, rank)
+    chi = intpoly.from_roots([1] + [k * spec.coxeter_number] * rank)
+    return f"-{roots.lower()}{rank}-k{k}", shi(spec, k), chi
+
+
+# name -> a builder of (name suffix, arrangement, closed-form chi or None)
+# from the parameters the entry takes, whose defaults favour the small cases;
+# a builder ignores every other parameter
+_ENTRIES = {
+    "boolean": lambda rank=3, **_: (f"-{rank}", boolean(rank), intpoly.from_roots([1] * rank)),
+    "braid": lambda rank=3, **_: (f"-{rank}", braid(rank), intpoly.from_roots(range(rank))),
+    "weyl-b": lambda rank=3, **_: (
+        str(rank), weyl_b(rank), intpoly.from_roots([2 * i - 1 for i in range(1, rank + 1)])),
+    "weyl-d": lambda rank=4, **_: (
+        str(rank), weyl_d(rank), intpoly.from_roots([2 * i - 1 for i in range(1, rank)] + [rank - 1])),
+    "shi": _shi_entry,
+    "intermediate": lambda rank=3, k=1, r=3, p=7, **_: (
+        f"-{rank}-{k}-{r}-p{p}", intermediate(rank, k, r, p), None),
+    "edelman-reiner": lambda **_: ("", edelman_reiner_restriction(), intpoly.from_roots([1, 3, 3, 5])),
+    "pentagon-cone": lambda p=31, **_: (
+        f"-p{p}", pentagon_cone(p).arrangement, intpoly.from_roots([1, 1, 5, 5])),
+    "xyzw": lambda **_: ("", xyzw_example(), intpoly.mul((-1, 1), (-4, 6, -4, 1))),
+    "xyzw-restriction": lambda **_: ("", xyzw_restriction(), intpoly.mul((-1, 1), (3, -3, 1))),
+}
+CATALOG_NAMES = tuple(_ENTRIES)
 
 
 def build_entry(name: str, **params) -> CatalogEntry:
-    """Catalog access by name; parameter defaults favour the small cases."""
-    rank = params.get("rank")
-    if name == "boolean":
-        rank = 3 if rank is None else rank
-        return CatalogEntry(
-            name=f"boolean-{rank}",
-            arrangement=boolean(rank),
-            expected_chi=intpoly.from_roots([1] * rank),
-            expected_exponents=(1,) * rank,
-            provenance="closed-form",
-        )
-    if name == "braid":
-        rank = 3 if rank is None else rank
-        return CatalogEntry(
-            name=f"braid-{rank}",
-            arrangement=braid(rank),
-            expected_chi=intpoly.from_roots(range(rank)),
-            provenance="closed-form",
-        )
-    if name == "weyl-b":
-        rank = 3 if rank is None else rank
-        return CatalogEntry(
-            name=f"weyl-b{rank}",
-            arrangement=weyl_b(rank),
-            expected_chi=intpoly.from_roots([2 * i - 1 for i in range(1, rank + 1)]),
-            expected_exponents=tuple(2 * i - 1 for i in range(1, rank + 1)),
-            provenance="closed-form",
-        )
-    if name == "weyl-d":
-        rank = 4 if rank is None else rank
-        return CatalogEntry(
-            name=f"weyl-d{rank}",
-            arrangement=weyl_d(rank),
-            expected_chi=intpoly.from_roots(
-                sorted([2 * i - 1 for i in range(1, rank)] + [rank - 1])
-            ),
-            expected_exponents=tuple(sorted([2 * i - 1 for i in range(1, rank)] + [rank - 1])),
-            provenance="closed-form",
-        )
-    if name == "shi":
-        return _shi_entry(params.get("roots", "A"), 2 if rank is None else rank, params.get("k", 1))
-    if name == "intermediate":
-        rank = 3 if rank is None else rank
-        k = params.get("k", 1)
-        r = params.get("r", 3)
-        p = params.get("p", 7)
-        return CatalogEntry(
-            name=f"intermediate-{rank}-{k}-{r}-p{p}",
-            arrangement=intermediate(rank, k, r, p),
-            provenance="computed",
-        )
-    if name == "edelman-reiner":
-        return CatalogEntry(
-            name="edelman-reiner",
-            arrangement=edelman_reiner_restriction(),
-            expected_chi=intpoly.from_roots([1, 3, 3, 5]),
-            expected_exponents=(1, 3, 3, 5),
-            provenance="closed-form",
-        )
-    if name == "pentagon-cone":
-        p = params.get("p", 31)
-        return CatalogEntry(
-            name=f"pentagon-cone-p{p}",
-            arrangement=pentagon_cone(p).arrangement,
-            expected_exponents=(1, 1, 5, 5),
-            provenance="closed-form",
-        )
-    if name == "xyzw":
-        return CatalogEntry(
-            name="xyzw",
-            arrangement=xyzw_example(),
-            expected_chi=intpoly.mul((-1, 1), (-4, 6, -4, 1)),
-            provenance="closed-form",
-        )
-    if name == "xyzw-restriction":
-        return CatalogEntry(
-            name="xyzw-restriction",
-            arrangement=xyzw_restriction(),
-            expected_chi=intpoly.mul((-1, 1), (3, -3, 1)),
-            provenance="closed-form",
-        )
-    raise CatalogError(f"unknown catalog name {name!r}")
-
-
-CATALOG_NAMES = (
-    "boolean",
-    "braid",
-    "weyl-b",
-    "weyl-d",
-    "shi",
-    "intermediate",
-    "edelman-reiner",
-    "pentagon-cone",
-    "xyzw",
-    "xyzw-restriction",
-)
+    """Catalog access by name; an entry ignores the parameters it does not take."""
+    if name not in _ENTRIES:
+        raise CatalogError(f"unknown catalog name {name!r}")
+    suffix, arrangement, chi = _ENTRIES[name](**params)
+    return CatalogEntry(name + suffix, arrangement, chi)

@@ -353,26 +353,20 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argparse parser of every command in COMMANDS, or of ``command``
-    alone; ``run`` builds one only for lines that ``_parse`` declines.
-
-    A one-command parser names all commands in its usage line, so its help
-    and error messages read exactly as the full parser's do.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command in COMMANDS; ``run`` builds it
+    only for lines that ``_parse`` declines."""
     parser = argparse.ArgumentParser(
         prog="divflag",
         description="Exact lattice computations and freeness certification "
         "for central hyperplane arrangements.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name)
-            for names, keywords in arguments:
-                p.add_argument(*names, **keywords)
-            p.set_defaults(fn=fn)
+        p = sub.add_parser(name)
+        for names, keywords in arguments:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -419,15 +413,13 @@ def run(argv) -> int:
     """Run one command line and return its exit code.
 
     A well-formed line is read straight from COMMANDS by ``_parse``.  Any
-    other line goes to argparse, which prints help, usage and every usage
-    error (exit 1): the parser of the command argv names, or the full parser
-    for no arguments, -h or an unknown name.
+    other line goes to the argparse parser, which prints help, usage and
+    every usage error (exit 1).
     """
     args = _parse(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

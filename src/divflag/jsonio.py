@@ -29,6 +29,11 @@ from .freeness import DivisionalFlag, IFCertificate, IFStep
 from .lattice import IntersectionLattice
 
 
+# the largest ambient dimension an arrangement file may give: a lattice
+# report carries dim + 1 coefficients of chi, and 2**20 of them write 7 MB
+MAX_DIM = 2**20
+
+
 class SchemaError(ValueError):
     """Input JSON does not match the expected schema."""
 
@@ -61,6 +66,8 @@ def arrangement_from_json(data) -> Arrangement:
         raise SchemaError("'dim' must be an integer")
     if dim < 1:
         raise SchemaError(f"'dim' must be at least 1, got {dim}")
+    if dim > MAX_DIM:
+        raise SchemaError(f"'dim' must be at most {MAX_DIM}, got {dim}")
     hyperplanes = data["hyperplanes"]
     if not isinstance(hyperplanes, list) or not all(isinstance(h, list) for h in hyperplanes):
         raise SchemaError("'hyperplanes' must be a list of covectors")

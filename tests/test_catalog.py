@@ -1,8 +1,9 @@
 import pytest
 
-from divflag import intpoly
+from divflag import catalog, intpoly
 from divflag.arrangement import localization, rank_of, restrict_to_hyperplane
 from divflag.catalog import (
+    CATALOG_NAMES,
     CatalogError,
     RootSystemSpec,
     boolean,
@@ -17,6 +18,7 @@ from divflag.catalog import (
     xyzw_example,
     xyzw_restriction,
 )
+from divflag.cli import run
 from divflag.freeness import divisional_flag_search
 from divflag.lattice import build_lattice, char_data, whitney_oracle
 
@@ -117,7 +119,7 @@ def test_intermediate_bad_prime():
 
 def test_intermediate_dual_prime_stability():
     sizes = {
-        p: build_lattice(intermediate(3, 1, 3, p, validation_prime=31)).level_sizes()
+        p: build_lattice(intermediate(3, 1, 3, p)).level_sizes()
         for p in (7, 13)
     }
     assert sizes[7] == sizes[13]
@@ -177,3 +179,39 @@ def test_build_entry_expected_data():
     assert entry.expected_chi == char_data(entry.arrangement).chi
     with pytest.raises(CatalogError):
         build_entry("unknown-name")
+
+
+# one more parameter set for every entry that takes one
+OTHER_PARAMETERS = [("boolean", dict(rank=5)), ("braid", dict(rank=5)), ("weyl-b", dict(rank=4)),
+                    ("weyl-d", dict(rank=5)), ("shi", dict(roots="B", rank=3)),
+                    ("shi", dict(roots="C", rank=3)), ("shi", dict(roots="D", rank=3)),
+                    ("shi", dict(rank=2, k=2)), ("intermediate", dict(rank=4, k=1, r=3, p=7)),
+                    ("pentagon-cone", dict(p=11))]
+
+
+@pytest.mark.parametrize("name,params", [(name, {}) for name in CATALOG_NAMES] + OTHER_PARAMETERS,
+                         ids=lambda x: x if isinstance(x, str) else "-".join(map(str, x.values())))
+def test_every_closed_form_chi(name, params):
+    entry = build_entry(name, **params)
+    assert not params or entry.name != build_entry(name).name
+    if entry.expected_chi is None:
+        assert name == "intermediate"
+    else:
+        assert entry.expected_chi == char_data(entry.arrangement).chi
+
+
+def test_catalog_names_list_the_registry_once():
+    assert CATALOG_NAMES == tuple(catalog._ENTRIES) == (
+        "boolean", "braid", "weyl-b", "weyl-d", "shi", "intermediate", "edelman-reiner",
+        "pentagon-cone", "xyzw", "xyzw-restriction")
+    assert len(set(CATALOG_NAMES)) == len(CATALOG_NAMES)
+    assert [build_entry(name).name for name in CATALOG_NAMES] == [
+        "boolean-3", "braid-3", "weyl-b3", "weyl-d4", "shi-a2-k1", "intermediate-3-1-3-p7",
+        "edelman-reiner", "pentagon-cone-p31", "xyzw", "xyzw-restriction"]
+
+
+def test_entries_ignore_parameters_they_do_not_take():
+    assert build_entry("boolean", k=9, p=3) == build_entry("boolean")
+    assert build_entry("xyzw", rank=7, roots="B") == build_entry("xyzw")
+    assert build_entry("pentagon-cone", rank=2, k=3, r=4) == build_entry("pentagon-cone")
+    assert run(["lattice", "--catalog", "boolean", "--k", "9", "--p", "3"]) == 0

@@ -393,7 +393,7 @@ def test_lattice_only_dependence():
     for k in (0, 1, 2):
         verdicts = set()
         for p in (7, 13):
-            arr = intermediate(3, k, 3, p, validation_prime=19)
+            arr = intermediate(3, k, 3, p)
             verdicts.add(divisional_flag_search(arr) is not None)
         assert len(verdicts) == 1
 
