@@ -53,7 +53,6 @@ from .lattice import (
     IntersectionLattice,
     build_lattice,
     char_data,
-    charpoly,
     point_count_oracle,
     whitney_oracle,
 )

@@ -219,12 +219,12 @@ class PentagonCone(NamedTuple):
     special_flat: Flat
 
 
-def _sqrt_mod(p: int, n: int) -> int:
-    n %= p
-    for x in range(1, p):
-        if x * x % p == n:
-            return x
-    raise CatalogError(f"{n} is not a square modulo {p}")
+def _sqrt5(p: int) -> int:
+    """The lesser square root of 5 modulo a prime p = 1 (mod 5): the Gauss sum
+    z - z^2 - z^3 + z^4 of z = a^((p-1)/5) for the least a >= 2 with z != 1."""
+    z = next(z for z in (pow(a, (p - 1) // 5, p) for a in range(2, p)) if z != 1)
+    w = (z - z**2 - z**3 + z**4) % p
+    return min(w, p - w)
 
 
 def pentagon_cone(p: int = 31) -> PentagonCone:
@@ -247,8 +247,7 @@ def _pentagon_raw(p: int) -> PentagonCone:
     if p % 5 != 1:
         raise CatalogError(f"need p = 1 mod 5, got {p}")
     field = PrimeField(p)
-    w = _sqrt_mod(p, 5)
-    w = min(w, p - w)
+    w = _sqrt5(p)
     inv4 = field.inv(4)
     c1 = field.mul(w - 1, inv4)          # cos 72
     c2 = field.neg(field.mul(w + 1, inv4))  # cos 144

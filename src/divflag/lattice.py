@@ -431,10 +431,6 @@ def char_data(arr: Arrangement, lattice: IntersectionLattice | None = None) -> C
     return CharData(arr, chi, poincare, betti, chi0, betti_dec)
 
 
-def charpoly(arr: Arrangement) -> intpoly.IntPoly:
-    return char_data(arr).chi
-
-
 WHITNEY_CAP = 16
 
 

@@ -5,17 +5,21 @@ restriction has one home, ``ziegler_gap``, on one L(A) and at most one
 restriction.
 
 Rank-2 exponents are the workhorse: ``exp2`` gives them by a closed form
-or by one kernel count of the exact linear system for derivations.
+or by one kernel count of the exact linear system for derivations; its
+second generator is the first degree-d2 kernel vector that passes the
+Saito determinant condition with the first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, restrict_to_hyperplane, restriction
-from .exactalg import Field, int_elimination, int_rref
+from .exactalg import Field, int_rref
 from .lattice import IntersectionLattice, build_lattice, rank2_flats
 
 
@@ -55,16 +59,9 @@ def constant_multiplicity(arr: Arrangement, value: int = 1) -> MultiArrangement:
     return MultiArrangement(arr, Multiplicity((value,) * len(arr)))
 
 
-@dataclass(frozen=True)
-class Exponents2:
+class Exponents2(NamedTuple):
     d1: int
     d2: int
-
-    def __iter__(self):
-        return iter((self.d1, self.d2))
-
-    def as_multiset(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
 
 
 def ziegler_restriction(arr: Arrangement, h: int) -> MultiArrangement:
@@ -194,6 +191,8 @@ def _saito_check(field: Field, theta1, d1, theta2, d2, pairs, mults) -> bool:
     p1, q1 = theta1[: d1 + 1], theta1[d1 + 1:]
     p2, q2 = theta2[: d2 + 1], theta2[d2 + 1:]
     det = canonical(intpoly.sub(intpoly.mul(p1, q2), intpoly.mul(q1, p2)))
+    if not det:
+        return False
     target = intpoly.ONE
     for (a, b), m in zip(pairs, mults):
         power = [comb(m, k) * a ** (m - k) * b**k for k in range(m + 1)]
@@ -232,10 +231,14 @@ def exp2(ma: MultiArrangement) -> Exponents2:
     monomial conditions drop min(m, d + 1) columns each; every other
     containment condition is a row of Hasse coefficients on the surviving
     columns, and an integer basis is read off the free columns.  The first
-    generator is the first kernel vector at d1, the second the first kernel
-    vector at d2 outside the span of the polynomial multiples of the first,
-    and the pair is certified by the Saito determinant condition on integer
-    forms, mod p over F_p.
+    generator theta1 is the first kernel vector at d1, and the second is the
+    first kernel vector at d2 that passes the Saito determinant condition
+    with theta1, on integer forms, mod p over F_p.  That one check both
+    picks and certifies it: the degree-d2 derivations are the multiples
+    f * theta1 plus a * theta2, and det(theta1, f * theta1 + a * theta2) =
+    a * det(theta1, theta2) is a nonzero multiple of the defining product
+    exactly when a != 0, so the first vector to pass is the first outside
+    the span of the multiples of theta1.
     """
     arr = ma.base
     field = arr.field
@@ -264,31 +267,12 @@ def exp2(ma: MultiArrangement) -> Exponents2:
         kernel = _derivation_kernel(field, pairs, mults, d1)
     theta1 = kernel[0]
     kernel = _derivation_kernel(field, pairs, mults, d2)
-    theta2 = _independent_second(field, theta1, d1, kernel, d2)
-    if not _saito_check(field, theta1, d1, theta2, d2, pairs, mults):
-        raise AssertionError("Saito determinant condition failed for the computed basis")
+    if not any(_saito_check(field, theta1, d1, theta2, d2, pairs, mults) for theta2 in kernel):
+        raise AssertionError(
+            f"no derivation of degree {d2} passes the Saito determinant condition"
+            f" with the first generator, of degree {d1}"
+        )
     return Exponents2(d1, d2)
-
-
-def _shift_theta(theta, d_from: int, d_to: int, offset: int) -> tuple[int, ...]:
-    """Multiply the derivation (P, Q) by x^(d_to-d_from-offset) * y^offset."""
-    p, q = theta[: d_from + 1], theta[d_from + 1:]
-    pad = [0] * (d_to - d_from - offset)
-    return tuple([0] * offset + list(p) + pad + [0] * offset + list(q) + pad)
-
-
-def _independent_second(field: Field, theta1, d1, kernel, d):
-    """The first kernel vector of degree d outside the span of the
-    multiples x^(d-d1-k) y^k * theta1."""
-    shifts = [_shift_theta(theta1, d1, d, off) for off in range(d - d1 + 1)]
-    rows, pivots = int_rref(field, shifts)
-    residual = int_elimination(field)[0]
-    for vec in kernel:
-        if residual(rows, pivots, vec) is not None:
-            return vec
-    raise AssertionError(
-        f"no second generator of degree {d} independent of the multiples of the first"
-    )
 
 
 def euler_mult_rank2(ma: MultiArrangement, h: int) -> int:
@@ -298,24 +282,14 @@ def euler_mult_rank2(ma: MultiArrangement, h: int) -> int:
         raise IndexError(f"hyperplane index {h} out of range")
     if ma.mult.values[h] < 2:
         raise ValueError("Euler multiplicity step needs multiplicity at least 2")
-    e = exp2(ma).as_multiset()
-    e_drop = exp2(MultiArrangement(ma.base, ma.mult.bump(h, -1))).as_multiset()
-    shared = _multiset_intersection(e, e_drop)
+    e = tuple(exp2(ma))
+    e_drop = tuple(exp2(MultiArrangement(ma.base, ma.mult.bump(h, -1))))
+    shared = list((Counter(e) & Counter(e_drop)).elements())
     if len(shared) != 1:
         raise AssertionError(
             f"exponent pairs {e} and {e_drop} do not differ in exactly one place"
         )
     return shared[0]
-
-
-def _multiset_intersection(a, b) -> tuple[int, ...]:
-    out = []
-    rest = list(b)
-    for x in a:
-        if x in rest:
-            rest.remove(x)
-            out.append(x)
-    return tuple(out)
 
 
 def _local_exponents(arr: Arrangement, mults, flats) -> tuple[Exponents2, ...]:

@@ -19,6 +19,7 @@ from divflag.catalog import (
     xyzw_restriction,
 )
 from divflag.cli import run
+from divflag.exactalg import is_prime
 from divflag.freeness import divisional_flag_search
 from divflag.lattice import build_lattice, char_data, whitney_oracle
 
@@ -160,6 +161,14 @@ def test_pentagon_alternate_prime():
 def test_pentagon_bad_prime():
     with pytest.raises(CatalogError):
         pentagon_cone(7)  # 7 != 1 mod 5
+
+
+def test_sqrt5_matches_a_scan():
+    # the Gauss sum gives the lesser root, the one a scan from 1 finds first;
+    # p = 1 (mod 5) and odd means p = 1 (mod 10)
+    for p in range(11, 10**4, 10):
+        if is_prime(p):
+            assert catalog._sqrt5(p) == next(x for x in range(1, p) if x * x % p == 5), p
 
 
 def test_xyzw_values():

@@ -784,6 +784,13 @@ def _python_m(module, *argv):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def test_pentagon_cone_at_a_large_prime():
+    # the square root of 5 mod p comes from a Gauss sum, not a scan up to p
+    result = _python_m("divflag", "catalog", "pentagon-cone", "--p", "1000000000061")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "pentagon-cone-p1000000000061: 12 hyperplanes in dim 4\n"
+
+
 def test_python_m_divflag_cli():
     result = _python_m("divflag.cli", "charpoly", "--catalog", "braid")
     assert result.returncode == 0, result.stderr

@@ -420,14 +420,61 @@ def test_exp2_solves_the_reduced_system(monkeypatch):
     assert {26} in widths and {42} not in widths
 
 
+SAITO_FAILURE = "no derivation of degree .* passes the Saito determinant condition with the first generator"
+
+
+def _saito_spy(monkeypatch):
+    """The (d1, d2, verdict) of every Saito check exp2 makes, in order."""
+    check = multi._saito_check
+    seen = []
+
+    def spy(field, theta1, d1, theta2, d2, pairs, mults):
+        verdict = check(field, theta1, d1, theta2, d2, pairs, mults)
+        seen.append((d1, d2, verdict))
+        return verdict
+
+    monkeypatch.setattr(multi, "_saito_check", spy)
+    return seen
+
+
 def test_exp2_saito_guard_fires(monkeypatch):
-    # a second generator that is a multiple of the first has determinant 0;
-    # the Saito check must reject it by name, also under python -O
-    monkeypatch.setattr(multi, "_independent_second",
-                        lambda field, theta1, d1, kernel, d: multi._shift_theta(theta1, d1, d, 1))
-    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((9, 1, 1)))
-    with pytest.raises(AssertionError, match="Saito determinant condition failed"):
+    # at m = (1, 2, 2, 4) the first two degree-5 kernel vectors are
+    # multiples of the degree-4 generator, so their determinants with it
+    # are 0; a kernel truncated to them has no second generator, and the
+    # Saito check must reject both and raise by name, also under python -O
+    solve = multi._derivation_kernel
+    kernels = {}
+
+    def truncated(field, pairs, mults, d):
+        kernels[d] = solve(field, pairs, mults, d)[: 2 if d == 5 else None]
+        return kernels[d]
+
+    monkeypatch.setattr(multi, "_derivation_kernel", truncated)
+    seen = _saito_spy(monkeypatch)
+    ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1), (1, 2)), Multiplicity((1, 2, 2, 4)))
+    with pytest.raises(AssertionError, match=SAITO_FAILURE):
         exp2(ma)
+    assert seen == [(4, 5, False), (4, 5, False)]
+    assert _reference_second(QQ, kernels[4][0], 4, kernels[5], 5) is None
+
+
+@pytest.mark.parametrize("field,lines,mults,exponents,seen", [
+    (QQ, [(1, 0), (0, 1), (1, 1), (1, 2)], (1, 2, 2, 4), (4, 5),
+     [(4, 5, False), (4, 5, False), (4, 5, True)]),
+    # the even total first tries the balanced pair at 9
+    (QQ, [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3)], (1, 5, 5, 6, 1), (8, 10),
+     [(9, 9, False)] + [(8, 10, False)] * 3 + [(8, 10, True)]),
+    (PrimeField(5), [(1, 0), (0, 1), (1, 1)], (2, 5, 6), (6, 7),
+     [(6, 7, False), (6, 7, False), (6, 7, True)]),
+], ids=["Q-4-lines", "Q-5-lines", "F5-3-lines"])
+def test_exp2_second_generator_past_the_first_try(monkeypatch, field, lines, mults, exponents, seen):
+    # the second generator is the first degree-d2 kernel vector that passes
+    # the Saito check with the first; here the kernel opens with multiples of
+    # the first generator, which the check rejects before one passes
+    spied = _saito_spy(monkeypatch)
+    ma = MultiArrangement(make_arrangement(field, 2, lines), Multiplicity(mults))
+    assert tuple(exp2(ma)) == exponents == _reference_exp2(ma)
+    assert spied == seen
 
 
 def test_exp2_inconsistent_kernel_raises(monkeypatch):
@@ -474,7 +521,7 @@ def test_exp2_missing_second_generator_raises(monkeypatch):
     monkeypatch.setattr(multi, "_derivation_kernel",
                         lambda field, pairs, mults, d: solve(field, pairs, mults, d)[:1])
     ma = MultiArrangement(_lines((1, 0), (0, 1), (1, 1)), Multiplicity((2, 2, 2)))
-    with pytest.raises(AssertionError, match="no second generator"):
+    with pytest.raises(AssertionError, match=SAITO_FAILURE):
         exp2(ma)
 
 
