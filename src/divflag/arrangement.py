@@ -11,7 +11,6 @@ covectors with ``int_rref``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import Field, FieldError, int_elimination, int_rref, normalize_covector
@@ -22,11 +21,44 @@ class ArrangementError(ValueError):
     or an entry that is not a scalar of the field."""
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    field: Field
-    dim: int
-    hyperplanes: tuple[tuple, ...]
+class FrozenRecord:
+    """Base of the records that validate their fields or define ``__len__``.
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``; equality (between records of
+    one class), hash and repr then read the fields in that order, as a
+    frozen dataclass does, and no field can be assigned or deleted."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Arrangement(FrozenRecord):
+    __slots__ = ("field", "dim", "hyperplanes")
+
+    def __init__(self, field: Field, dim: int, hyperplanes: tuple[tuple, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "hyperplanes", hyperplanes)
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -54,8 +86,7 @@ def make_arrangement(field: Field, dim: int, covectors: Iterable[Sequence]) -> A
     return Arrangement(field, dim, tuple(normalized))
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """Element of the intersection lattice: its codimension and the full
     set of hyperplane indices containing it."""
 
@@ -165,8 +196,7 @@ def deletion(arr: Arrangement, h: int) -> Arrangement:
     return Arrangement(arr.field, arr.dim, covs)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """An arrangement with the deletion and restriction at one hyperplane."""
 
     full: Arrangement

@@ -9,7 +9,7 @@ level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple
 
 from . import intpoly
@@ -17,6 +17,7 @@ from .arrangement import (
     Arrangement,
     ArrangementError,
     Flat,
+    FrozenRecord,
     cone,
     flat_from_members,
     make_arrangement,
@@ -30,19 +31,19 @@ class CatalogError(ValueError):
     """Bad generator parameters or a prime that degenerates the geometry."""
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class RootSystemSpec(FrozenRecord):
     """Positive roots of the classical crystallographic types A-D."""
 
-    type: str
-    rank: int
+    __slots__ = ("type", "rank")
 
-    def __post_init__(self):
-        if self.type not in ("A", "B", "C", "D"):
-            raise CatalogError(f"unsupported root system type {self.type!r}")
-        minimum = 2 if self.type == "D" else 1
-        if self.rank < minimum:
-            raise CatalogError(f"type {self.type} needs rank >= {minimum}")
+    def __init__(self, type: str, rank: int):
+        if type not in ("A", "B", "C", "D"):
+            raise CatalogError(f"unsupported root system type {type!r}")
+        minimum = 2 if type == "D" else 1
+        if rank < minimum:
+            raise CatalogError(f"type {type} needs rank >= {minimum}")
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def coxeter_number(self) -> int:
@@ -114,17 +115,58 @@ def shi(spec: RootSystemSpec, k: int) -> Arrangement:
     return cone(QQ, spec.rank, affine)
 
 
-def _primitive_root(p: int) -> int:
-    factors = set()
-    n = p - 1
-    d = 2
-    while d * d <= n:
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 1000:
+    Pollard's rho on x -> x^2 + c from x = 2, with Brent's cycle detection
+    and one gcd per batch of 128 steps; c = 1, 2, ... until a run splits n,
+    so the divisor is deterministic."""
+    for c in itertools.count(1):
+        y, g, q, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of 1 <= n < PRIME_LIMIT: trial division by
+    d < 1000, then the cofactor split by ``_rho_divisor`` until ``is_prime``
+    certifies every part."""
+    factors, d = set(), 2
+    while d < 1000 and d * d <= n:
         while n % d == 0:
             factors.add(d)
             n //= d
         d += 1
-    if n > 1:
-        factors.add(n)
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            factors.add(m)
+        else:
+            g = _rho_divisor(m)
+            parts += [g, m // g]
+    return factors
+
+
+def _primitive_root(p: int) -> int:
+    factors = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
@@ -286,8 +328,7 @@ def _pentagon_raw(p: int) -> PentagonCone:
     return PentagonCone(coned, infinite, special)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named arrangement with its closed-form chi, where one is known."""
 
     name: str

@@ -9,7 +9,7 @@ number characterization, inductive freeness, and the rank-3 shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intpoly
 from .arrangement import Arrangement, Flat, add_hyperplane, make_arrangement
@@ -17,8 +17,7 @@ from .lattice import IntersectionLattice, build_lattice, char_data
 from .multi import chi0_remainder, ziegler_gap
 
 
-@dataclass(frozen=True)
-class DivisionalFlag:
+class DivisionalFlag(NamedTuple):
     """Chain of flats whose restriction charpolys divide consecutively.
 
     ``flats[i]`` has codimension i; ``charpolys[i]`` is the characteristic
@@ -102,9 +101,13 @@ class _FlagSearch:
             return ()
         base = lat.mask(level, index)
         if base not in self.memo:
-            chi = lat.restriction_chi(level, index)
+            chi, size = lat.restriction_chi(level, index), len(lat.cover_classes(level, index))
             self.memo[base] = None
             for k in _candidates(lat, level, index):
+                # χ(A^Y) divides χ(A^X) only as χ(A^X) = (t − (|A^X| − |A^Y|))·χ(A^Y),
+                # so a cover where χ(A^X) has no such root is skipped unwalked
+                if intpoly.eval_at(chi, size - len(lat.cover_classes(level + 1, k))):
+                    continue
                 if intpoly.divides(lat.restriction_chi(level + 1, k), chi):
                     tail = self.search(level + 1, k)
                     if tail is not None:
@@ -171,14 +174,12 @@ def df_via_b2(arr: Arrangement, flag) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class IFStep:
+class IFStep(NamedTuple):
     covector: tuple
     restriction_chi: intpoly.IntPoly
 
 
-@dataclass(frozen=True)
-class IFCertificate:
+class IFCertificate(NamedTuple):
     """Addition order from the empty arrangement with the restriction
     charpoly of every step, whose division is checked in the ambient dimension."""
 
@@ -215,8 +216,7 @@ IF_CERTIFIED = "certified"
 IF_EXHAUSTED = "exhausted"
 
 
-@dataclass
-class IFResult:
+class IFResult(NamedTuple):
     status: str
     certificate: IFCertificate | None
     nodes: int
@@ -259,7 +259,15 @@ class _IFSearch:
         if self.nodes > self.budget:
             return _EXHAUSTED
         exhausted = False
+        chi = lat.restriction_chi(level, index, deleted)
+        size = sum(1 for c in lat.cover_classes(level, index) if c & ~deleted)
         for k in _candidates(lat, level, index, deleted):
+            # for the minor M and its hyperplane H at Y, χ(M^H) divides
+            # χ(M − H) only if χ(M) = (t − (|M| − |M^H|))·χ(M^H), by
+            # deletion–restriction; a cover failing that root is skipped unwalked
+            root = size - sum(1 for c in lat.cover_classes(level + 1, k) if c & ~deleted)
+            if intpoly.eval_at(chi, root):
+                continue
             if not intpoly.divides(lat.restriction_chi(level + 1, k, deleted),
                                    lat.deletion_chi(level, index, deleted, k)):
                 continue
@@ -322,8 +330,7 @@ def hereditarily_df(arr: Arrangement):
     return (not failing, failing)
 
 
-@dataclass(frozen=True)
-class Rank3Conditions:
+class Rank3Conditions(NamedTuple):
     chi_splits: bool
     deleted_chi_matches: bool
     restriction_size_matches: bool
@@ -374,8 +381,7 @@ def division_addition_check(arr: Arrangement, covector) -> bool:
     return intpoly.divides(lattice.restriction_chi(1, atom), lattice.deletion_chi(0, 0, 0, atom))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """The five combinatorial division conditions at one hyperplane.
 
     When the restriction is free they are all equivalent; hypothesis

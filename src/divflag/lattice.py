@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
 
@@ -28,21 +28,38 @@ class BadPrimeError(ValueError):
     """The prime degenerates the lattice; finite-field counting is invalid."""
 
 
-@dataclass
 class IntersectionLattice:
-    arrangement: Arrangement
-    mobius: tuple[tuple[int, ...], ...]
-    complete: bool
-    _masks: tuple[tuple[int, ...], ...]
-    # the class masks members(X) − members(Y) of each flat Y's covers X,
-    # () for every flat of the last level
-    _classes: tuple[tuple[tuple[int, ...], ...], ...] = dc_field(repr=False, compare=False)
-    _levels: tuple[tuple[Flat, ...], ...] | None = dc_field(default=None, repr=False, compare=False)
-    _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = dc_field(
-        default=None, repr=False, compare=False)
-    _where: dict[int, tuple[int, int]] | None = dc_field(default=None, repr=False, compare=False)
-    _chis: dict[tuple[int, int, int], intpoly.IntPoly] = dc_field(
-        default_factory=dict, repr=False, compare=False)
+    """L(A) as ``build_lattice`` leaves it: per level the member masks of the
+    flats and their Möbius values from V, and per flat the class masks
+    members(X) − members(Y) of its covers X (``()`` on the last level).  The
+    remaining slots are caches filled on first read.  Two lattices compare
+    equal by their arrangement, Möbius values, completeness and masks."""
+
+    __slots__ = ("arrangement", "mobius", "complete", "_masks", "_classes",
+                 "_levels", "_covers", "_where", "_chis")
+    __hash__ = None
+
+    def __init__(self, arrangement: Arrangement, mobius: tuple[tuple[int, ...], ...],
+                 complete: bool, _masks: tuple[tuple[int, ...], ...],
+                 _classes: tuple[tuple[tuple[int, ...], ...], ...],
+                 _levels: tuple[tuple[Flat, ...], ...] | None = None,
+                 _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = None,
+                 _where: dict[int, tuple[int, int]] | None = None,
+                 _chis: dict[tuple[int, int, int], intpoly.IntPoly] | None = None):
+        self.arrangement, self.mobius, self.complete = arrangement, mobius, complete
+        self._masks, self._classes = _masks, _classes
+        self._levels, self._covers, self._where = _levels, _covers, _where
+        self._chis = {} if _chis is None else _chis
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.arrangement, self.mobius, self.complete, self._masks)
+                    == (other.arrangement, other.mobius, other.complete, other._masks))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"IntersectionLattice(arrangement={self.arrangement!r}, mobius={self.mobius!r}, "
+                f"complete={self.complete!r}, _masks={self._masks!r})")
 
     @property
     def levels(self) -> tuple[tuple[Flat, ...], ...]:

@@ -18,20 +18,20 @@ from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import intpoly
-from .arrangement import Arrangement, Flat, restrict_to_hyperplane, restriction
+from .arrangement import Arrangement, Flat, FrozenRecord, restrict_to_hyperplane, restriction
 from .exactalg import Field, int_rref
 from .lattice import IntersectionLattice, build_lattice, rank2_flats
 
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(FrozenRecord):
     """Positive integer multiplicity per hyperplane index."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if any(v < 1 for v in self.values):
+    def __init__(self, values: tuple[int, ...]):
+        if any(v < 1 for v in values):
             raise ValueError("multiplicities must be positive")
+        object.__setattr__(self, "values", values)
 
     @property
     def total(self) -> int:
@@ -45,14 +45,14 @@ class Multiplicity:
         return Multiplicity(tuple(vals))
 
 
-@dataclass(frozen=True)
-class MultiArrangement:
-    base: Arrangement
-    mult: Multiplicity
+class MultiArrangement(FrozenRecord):
+    __slots__ = ("base", "mult")
 
-    def __post_init__(self):
-        if len(self.mult.values) != len(self.base):
+    def __init__(self, base: Arrangement, mult: Multiplicity):
+        if len(mult.values) != len(base):
             raise ValueError("multiplicity size does not match the arrangement")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mult", mult)
 
 
 def constant_multiplicity(arr: Arrangement, value: int = 1) -> MultiArrangement:
@@ -334,8 +334,7 @@ def ziegler_gap(lattice: IntersectionLattice, level: int, index: int, k: int) ->
     return gap, b2, exponents
 
 
-@dataclass(frozen=True)
-class RemainderReport:
+class RemainderReport(NamedTuple):
     """Division of chi0 by the restriction's chi0 at one hyperplane."""
 
     pivot: int

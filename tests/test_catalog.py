@@ -171,6 +171,32 @@ def test_sqrt5_matches_a_scan():
             assert catalog._sqrt5(p) == next(x for x in range(1, p) if x * x % p == 5), p
 
 
+def test_primitive_root_matches_a_scan():
+    # the least g >= 2 whose powers g^d, for d a proper divisor of p - 1 found
+    # by scanning, are never 1; no prime factor of p - 1 is computed
+    for p in range(3, 10**4, 2):
+        if is_prime(p):
+            divisors = [d for d in range(1, p - 1) if (p - 1) % d == 0]
+            least = next(g for g in range(2, p) if all(pow(g, d, p) != 1 for d in divisors))
+            assert catalog._primitive_root(p) == least, p
+
+
+def test_prime_factors_split_large_cofactors():
+    # below 10^4 trial division alone factors p - 1; these cofactors have
+    # no factor below 1000, so they take Pollard's rho
+    for n, factors in ((100000000000000000038, {2, 3, 32839, 507526619771207}),
+                       (1009 * 1013, {1009, 1013}), (99991**2, {99991}),
+                       (2 * 3**4 * 10007**3 * 999983, {2, 3, 10007, 999983}),
+                       (2**61 - 2, {2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321}),
+                       (1, set()), (2, {2}), (999983, {999983})):
+        assert catalog._prime_factors(n) == factors, n
+    assert catalog._primitive_root(100000000000000000039) == 3
+
+
+def test_intermediate_at_a_21_digit_prime():
+    assert run(["catalog", "intermediate", "--p", "100000000000000000039"]) == 0
+
+
 def test_xyzw_values():
     A = xyzw_example()
     assert char_data(A).chi == intpoly.mul((-1, 1), intpoly.poly([-4, 6, -4, 1]))

@@ -873,6 +873,45 @@ def test_candidates_match_the_cover_scan(arr):
                     _reference_candidates(lat, level, index, deleted)
 
 
+@pytest.mark.parametrize("arr", [weyl_b(4), braid(5), intermediate(4, 1, 3, 7), xyzw_example(),
+                                 edelman_reiner_restriction()],
+                         ids=["B4", "braid5", "intermediate", "xyzw", "er"])
+def test_search_screens_only_skip_covers_that_do_not_divide(arr):
+    """The root both searches test before a division: where χ((A − S)^Y)
+    divides χ(M − H), for M = (A − S)^X and H its hyperplane at Y, χ(M) vanishes
+    at |M| − |M^H|, and with S empty χ(A^X) vanishes at |A^X| − |A^Y|."""
+    rng = random.Random(len(arr))
+    lat = build_lattice(arr)
+    for level, size in enumerate(lat.level_sizes()[:-1]):
+        for index in range(size):
+            for deleted in (0, *(rng.getrandbits(len(arr)) & ~lat.mask(level, index) for _ in range(3))):
+                chi = lat.restriction_chi(level, index, deleted)
+                live = sum(1 for c in lat.cover_classes(level, index) if c & ~deleted)
+                for k in _candidates(lat, level, index, deleted):
+                    root = live - sum(1 for c in lat.cover_classes(level + 1, k) if c & ~deleted)
+                    divides = intpoly.divides(lat.restriction_chi(level + 1, k, deleted),
+                                              lat.deletion_chi(level, index, deleted, k))
+                    if not deleted:
+                        divides_x = intpoly.divides(lat.restriction_chi(level + 1, k), chi)
+                        assert not divides_x or intpoly.eval_at(chi, root) == 0
+                    assert not divides or intpoly.eval_at(chi, root) == 0
+
+
+def test_refuted_if_search_walks_only_screened_covers(monkeypatch):
+    """The refuted IF search on intermediate(4, 1, 3, 7) expands 11 nodes
+    and walks 10 minors; without the screen it walked 43."""
+    walks = []
+    walk = IntersectionLattice._weisner_walk
+
+    def counted(lattice, level, index, deleted):
+        walks.append((level, index, deleted))
+        return walk(lattice, level, index, deleted)
+
+    monkeypatch.setattr(IntersectionLattice, "_weisner_walk", counted)
+    result = inductively_free(intermediate(4, 1, 3, 7))
+    assert (result.status, result.nodes, len(walks)) == (NOT_IF, 11, 10)
+
+
 def test_if_candidates_follow_the_coordinate_numbering():
     # random restriction and deletion paths, followed in coordinates and on
     # L(A): at every node the candidates come in the reference's order,

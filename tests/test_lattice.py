@@ -1,4 +1,3 @@
-import dataclasses
 import fractions
 import itertools
 import random
@@ -496,7 +495,7 @@ def test_read_and_unread_flats_compare_equal():
     spanned = tuple(flat_from_members(arr, f.members) for f in built)
     assert built == rebuilt == spanned
     assert [hash(f) for f in built] == [hash(f) for f in rebuilt] == [hash(f) for f in spanned]
-    assert [f.name for f in dataclasses.fields(built[0])] == ["parent", "codim", "members"]
+    assert list(Flat._fields) == ["parent", "codim", "members"]
 
 
 def test_flats_are_made_on_demand(monkeypatch):
