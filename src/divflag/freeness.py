@@ -5,6 +5,7 @@ certifies freeness once the restriction itself is free; iterating down to
 dimension two yields a divisional flag, a purely combinatorial freeness
 certificate.  This module implements the flag search, its second-Betti-
 number characterization, inductive freeness, and the rank-3 shortcuts.
+The flag and IF searches share one division step, ``_dividing_covers``.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ def division_check(arr: Arrangement, h: int) -> bool:
                            lattice.restriction_chi(0, 0))
 
 
-def _candidates(lat: IntersectionLattice, level: int, index: int, deleted: int = 0) -> list[int]:
-    """The hyperplanes of the minor (A − S)^X, as covers Y of X, by
-    decreasing restriction size, then by min(members Y − members X − S), which
-    is the order in which the restrictions and deletions that lead to the
-    minor number them (a heuristic only; the searches stay exhaustive).  The
-    covers are X | c for X's live classes c; disjoint, so each key is unique."""
+def _candidates(lat: IntersectionLattice, level: int, index: int,
+                deleted: int = 0) -> list[tuple[int, int]]:
+    """The hyperplanes of the minor (A − S)^X, as pairs (k, |(A − S)^Y|) for
+    its covers Y = levels[level + 1][k], by decreasing restriction size, then
+    by min(members Y − members X − S), which is the order in which the
+    restrictions and deletions that lead to the minor number them (a
+    heuristic only; the searches stay exhaustive).  The covers are X | c for
+    X's live classes c; disjoint, so each key is unique."""
     base, keyed = lat.mask(level, index), []
     for c in lat.cover_classes(level, index):
         present = c & ~deleted
@@ -81,7 +84,22 @@ def _candidates(lat: IntersectionLattice, level: int, index: int, deleted: int =
             size = sum(1 for d in lat.cover_classes(level + 1, k) if d & ~deleted)
             keyed.append((-size, present & -present, k))
     keyed.sort()
-    return [k for _, _, k in keyed]
+    return [(k, -size) for size, _, k in keyed]
+
+
+def _dividing_covers(lat: IntersectionLattice, level: int, index: int, deleted: int = 0):
+    """The covers k of X = levels[level][index], in ``_candidates`` order, at
+    which χ(M^H) divides χ(M), for M = (A − S)^X, S the bitmask ``deleted``
+    and H the hyperplane of M at Y = levels[level + 1][k].  As χ(M − H) =
+    χ(M) + χ(M^H) (Orlik–Terao, Thm 2.56), that is the IF search's test too.
+    The quotient is t − (|M| − |M^H|), so a cover at which χ(M) has no such
+    root is skipped before its Weisner walk."""
+    chi = lat.restriction_chi(level, index, deleted)
+    candidates = _candidates(lat, level, index, deleted)
+    for k, size in candidates:
+        if not intpoly.eval_at(chi, len(candidates) - size) and intpoly.divides(
+                lat.restriction_chi(level + 1, k, deleted), chi):
+            yield k
 
 
 class _FlagSearch:
@@ -101,18 +119,12 @@ class _FlagSearch:
             return ()
         base = lat.mask(level, index)
         if base not in self.memo:
-            chi, size = lat.restriction_chi(level, index), len(lat.cover_classes(level, index))
             self.memo[base] = None
-            for k in _candidates(lat, level, index):
-                # χ(A^Y) divides χ(A^X) only as χ(A^X) = (t − (|A^X| − |A^Y|))·χ(A^Y),
-                # so a cover where χ(A^X) has no such root is skipped unwalked
-                if intpoly.eval_at(chi, size - len(lat.cover_classes(level + 1, k))):
-                    continue
-                if intpoly.divides(lat.restriction_chi(level + 1, k), chi):
-                    tail = self.search(level + 1, k)
-                    if tail is not None:
-                        self.memo[base] = ((level + 1, k),) + tail
-                        break
+            for k in _dividing_covers(lat, level, index):
+                tail = self.search(level + 1, k)
+                if tail is not None:
+                    self.memo[base] = ((level + 1, k),) + tail
+                    break
         return self.memo[base]
 
 
@@ -259,24 +271,15 @@ class _IFSearch:
         if self.nodes > self.budget:
             return _EXHAUSTED
         exhausted = False
-        chi = lat.restriction_chi(level, index, deleted)
-        size = sum(1 for c in lat.cover_classes(level, index) if c & ~deleted)
-        for k in _candidates(lat, level, index, deleted):
-            # for the minor M and its hyperplane H at Y, χ(M^H) divides
-            # χ(M − H) only if χ(M) = (t − (|M| − |M^H|))·χ(M^H), by
-            # deletion–restriction; a cover failing that root is skipped unwalked
-            root = size - sum(1 for c in lat.cover_classes(level + 1, k) if c & ~deleted)
-            if intpoly.eval_at(chi, root):
-                continue
-            if not intpoly.divides(lat.restriction_chi(level + 1, k, deleted),
-                                   lat.deletion_chi(level, index, deleted, k)):
-                continue
+        for k in _dividing_covers(lat, level, index, deleted):
             sub = self.search(level + 1, k, deleted)
             if sub is _EXHAUSTED:
                 exhausted = True
                 continue
             if sub is not True:
                 continue
+            # cache χ(M − H) where the deletion's minor looks it up: no walk
+            lat.deletion_chi(level, index, deleted, k)
             sub = self.search(level, index, deleted | lat.mask(level + 1, k) & ~base)
             if sub is _EXHAUSTED:
                 exhausted = True

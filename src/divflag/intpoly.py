@@ -182,7 +182,7 @@ def _pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     return tuple(rem)
 
 
-def to_string(f: IntPoly, var: str = "t") -> str:
+def to_string(f: IntPoly) -> str:
     if not f:
         return "0"
     parts = []
@@ -195,8 +195,8 @@ def to_string(f: IntPoly, var: str = "t") -> str:
         if k == 0:
             body = str(mag)
         elif k == 1:
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = "t" if mag == 1 else f"{mag}*t"
         else:
-            body = f"{var}^{k}" if mag == 1 else f"{mag}*{var}^{k}"
+            body = f"t^{k}" if mag == 1 else f"{mag}*t^{k}"
         parts.append(f"{sign}{body}" if not parts else f" {sign} {body}")
     return "".join(parts)

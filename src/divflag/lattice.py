@@ -32,34 +32,35 @@ class IntersectionLattice:
     """L(A) as ``build_lattice`` leaves it: per level the member masks of the
     flats and their Möbius values from V, and per flat the class masks
     members(X) − members(Y) of its covers X (``()`` on the last level).  The
-    remaining slots are caches filled on first read.  Two lattices compare
-    equal by their arrangement, Möbius values, completeness and masks."""
+    remaining slots are caches filled on first read.  Every level down to
+    the center is built, so every interval and minor can be read off it.  Two
+    lattices compare equal by their arrangement, Möbius values and masks."""
 
-    __slots__ = ("arrangement", "mobius", "complete", "_masks", "_classes",
+    __slots__ = ("arrangement", "mobius", "_masks", "_classes",
                  "_levels", "_covers", "_where", "_chis")
     __hash__ = None
 
     def __init__(self, arrangement: Arrangement, mobius: tuple[tuple[int, ...], ...],
-                 complete: bool, _masks: tuple[tuple[int, ...], ...],
+                 _masks: tuple[tuple[int, ...], ...],
                  _classes: tuple[tuple[tuple[int, ...], ...], ...],
                  _levels: tuple[tuple[Flat, ...], ...] | None = None,
                  _covers: tuple[tuple[tuple[int, ...], ...], ...] | None = None,
                  _where: dict[int, tuple[int, int]] | None = None,
                  _chis: dict[tuple[int, int, int], intpoly.IntPoly] | None = None):
-        self.arrangement, self.mobius, self.complete = arrangement, mobius, complete
+        self.arrangement, self.mobius = arrangement, mobius
         self._masks, self._classes = _masks, _classes
         self._levels, self._covers, self._where = _levels, _covers, _where
         self._chis = {} if _chis is None else _chis
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return ((self.arrangement, self.mobius, self.complete, self._masks)
-                    == (other.arrangement, other.mobius, other.complete, other._masks))
+            return ((self.arrangement, self.mobius, self._masks)
+                    == (other.arrangement, other.mobius, other._masks))
         return NotImplemented
 
     def __repr__(self) -> str:
         return (f"IntersectionLattice(arrangement={self.arrangement!r}, mobius={self.mobius!r}, "
-                f"complete={self.complete!r}, _masks={self._masks!r})")
+                f"_masks={self._masks!r})")
 
     @property
     def levels(self) -> tuple[tuple[Flat, ...], ...]:
@@ -151,8 +152,6 @@ class IntersectionLattice:
             deleted = self.deleted_classes(level, index, deleted)
         chi = self._chis.get((level, index, deleted))
         if chi is None:
-            if not self.complete:
-                raise ValueError("restriction_chi needs the complete lattice")
             if level == deleted == 0:
                 coeffs = [0] * (self.arrangement.dim + 1)
                 for codim, mob in enumerate(self.mobius):
@@ -231,8 +230,9 @@ def _row_order(field, level, den, heads):
     return (lambda entry: entry[0][0]) if heads else itemgetter(0)
 
 
-def build_lattice(arr: Arrangement, max_codim: int | None = None) -> IntersectionLattice:
-    """Levels, members, and Möbius values of the intersection lattice.
+def build_lattice(arr: Arrangement) -> IntersectionLattice:
+    """Levels, members, and Möbius values of the intersection lattice, every
+    level from V down to the center.
 
     Each flat Y of a level carries its cover partition: the non-members of
     Y grouped into classes, one per cover Y ⋖ X, with members(X) =
@@ -273,11 +273,11 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     and are kept for the last level built only.  The lattice keeps each
     flat's member mask and the class masks of its partition, not the
     residuals; ``flat`` and ``levels`` make ``Flat`` objects from the masks
-    on demand, and ``covers`` reads the cover relation from the classes; no
-    partition is computed for the last level.
+    on demand, and ``covers`` reads the cover relation from the classes; the
+    last level, the center, has no non-members, so its partitions are empty
+    and the build stops when it finds no further level.
     """
     field = arr.field
-    limit = arr.dim if max_codim is None else min(max_codim, arr.dim)
     residual, insert = int_elimination(field)
 
     # residual id -> residual, and back; at V every hyperplane is a class,
@@ -306,8 +306,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
     # class id r -> (its lead, {id s -> id of s reduced by r}): the same pair
     # recurs across the flats of a root system
     reductions: dict[int, tuple[int, dict[int, int]]] = {}
-    while len(masks) <= limit:
-        partitioned = len(masks) < limit  # the new level is not the last one
+    while True:
         lines = len(masks) == arr.dim - 1
         found: dict[int, list] = {}  # member mask -> [rows, pivots, mask, Σμ, partition, lcm]
         heads = True  # every new flat's rows are its finder's under a new head row
@@ -341,8 +340,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                         new_rows = rows[:k] + (vr,) + rows[k:]
                         new_pivots = pivots[:k] + (lead,) + pivots[k:]
                         new_den = den if vr[lead] == 1 else lcm(den, vr[lead])
-                    child = None
-                    if lines and partitioned:
+                    if lines:
                         # a line's only cover is the origin; its pivots are
                         # every column but one, the sum 0 + 1 + ... + (dim - 1)
                         # less theirs
@@ -351,7 +349,7 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
                         if free not in units:
                             units[free] = intern(tuple(int(i == free) for i in range(arr.dim)))
                         child = {units[free]: rest} if rest else {}
-                    elif partitioned:
+                    else:
                         child = {}
                         for s, other in partition.items():
                             if s != r:
@@ -378,23 +376,17 @@ def build_lattice(arr: Arrangement, max_codim: int | None = None) -> Intersectio
         masks.append(tuple(entry[2] for entry in frontier))
         mobius.append(tuple(entry[3] for entry in frontier))
 
-    # a capped build is still complete when it stopped before hitting the cap
-    complete = max_codim is None or len(masks) - 1 < limit or limit == arr.dim
-    # the last level has no covers, whether or not its partitions were taken
-    del classes[len(masks) - 1:]
-    classes.append(((),) * len(masks[-1]))
     return IntersectionLattice(
         arrangement=arr,
         mobius=tuple(mobius),
-        complete=complete,
         _masks=tuple(masks),
         _classes=tuple(map(tuple, classes)),
     )
 
 
 def rank2_flats(arr: Arrangement) -> tuple[Flat, ...]:
-    """The codimension-2 flats only (cheaper than a full lattice)."""
-    lat = build_lattice(arr, max_codim=2)
+    """The codimension-2 flats, level 2 of L(A)."""
+    lat = build_lattice(arr)
     sizes = lat.level_sizes()
     return tuple(lat.flat(2, index) for index in range(sizes[2])) if len(sizes) > 2 else ()
 
@@ -431,8 +423,8 @@ class CharData:
 def char_data(arr: Arrangement, lattice: IntersectionLattice | None = None) -> CharData:
     if lattice is None:
         lattice = build_lattice(arr)
-    elif not lattice.complete or lattice.arrangement != arr:
-        raise ValueError("char_data needs the complete lattice of this arrangement")
+    elif lattice.arrangement != arr:
+        raise ValueError("char_data needs the lattice of this arrangement")
     ell = arr.dim
     chi = lattice.restriction_chi(0, 0)
     betti = tuple((-1) ** i * intpoly.coeff(chi, ell - i) for i in range(ell + 1))

@@ -55,8 +55,8 @@ class MultiArrangement(FrozenRecord):
         object.__setattr__(self, "mult", mult)
 
 
-def constant_multiplicity(arr: Arrangement, value: int = 1) -> MultiArrangement:
-    return MultiArrangement(arr, Multiplicity((value,) * len(arr)))
+def constant_multiplicity(arr: Arrangement) -> MultiArrangement:
+    return MultiArrangement(arr, Multiplicity((1,) * len(arr)))
 
 
 class Exponents2(NamedTuple):

@@ -39,6 +39,7 @@ from divflag.freeness import (
     IFStep,
     _FlagSearch,
     _candidates,
+    _dividing_covers,
     df_via_b2,
     division_addition_check,
     division_check,
@@ -853,8 +854,8 @@ def _reference_candidates(lat, level, index, deleted=0):
         size = sum(1 for z in lat.covers[level + 1][k] if lat.mask(level + 2, z) & ~above & ~deleted)
         return -size, present & -present
 
-    return sorted((k for k in lat.covers[level][index] if lat.mask(level + 1, k) & ~base & ~deleted),
-                  key=order)
+    return [(k, -order(k)[0]) for k in sorted(
+        (k for k in lat.covers[level][index] if lat.mask(level + 1, k) & ~base & ~deleted), key=order)]
 
 
 @pytest.mark.parametrize("arr", [weyl_b(4), weyl_d(4), braid(5)], ids=["B4", "D4", "braid5"])
@@ -877,9 +878,10 @@ def test_candidates_match_the_cover_scan(arr):
                                  edelman_reiner_restriction()],
                          ids=["B4", "braid5", "intermediate", "xyzw", "er"])
 def test_search_screens_only_skip_covers_that_do_not_divide(arr):
-    """The root both searches test before a division: where χ((A − S)^Y)
-    divides χ(M − H), for M = (A − S)^X and H its hyperplane at Y, χ(M) vanishes
-    at |M| − |M^H|, and with S empty χ(A^X) vanishes at |A^X| − |A^Y|."""
+    """The division step both searches share: for M = (A − S)^X and H its
+    hyperplane at Y, χ(M^H) divides χ(M − H) exactly when it divides χ(M)
+    (deletion–restriction), χ(M) then vanishes at |M| − |M^H|, and
+    ``_dividing_covers`` yields exactly the covers where it divides."""
     rng = random.Random(len(arr))
     lat = build_lattice(arr)
     for level, size in enumerate(lat.level_sizes()[:-1]):
@@ -887,19 +889,23 @@ def test_search_screens_only_skip_covers_that_do_not_divide(arr):
             for deleted in (0, *(rng.getrandbits(len(arr)) & ~lat.mask(level, index) for _ in range(3))):
                 chi = lat.restriction_chi(level, index, deleted)
                 live = sum(1 for c in lat.cover_classes(level, index) if c & ~deleted)
-                for k in _candidates(lat, level, index, deleted):
+                dividing = []
+                for k, _ in _candidates(lat, level, index, deleted):
                     root = live - sum(1 for c in lat.cover_classes(level + 1, k) if c & ~deleted)
-                    divides = intpoly.divides(lat.restriction_chi(level + 1, k, deleted),
-                                              lat.deletion_chi(level, index, deleted, k))
-                    if not deleted:
-                        divides_x = intpoly.divides(lat.restriction_chi(level + 1, k), chi)
-                        assert not divides_x or intpoly.eval_at(chi, root) == 0
+                    chi_y = lat.restriction_chi(level + 1, k, deleted)
+                    divides = intpoly.divides(chi_y, lat.deletion_chi(level, index, deleted, k))
+                    assert divides == intpoly.divides(chi_y, chi)
                     assert not divides or intpoly.eval_at(chi, root) == 0
+                    dividing += [k] * divides
+                assert list(_dividing_covers(lat, level, index, deleted)) == dividing
 
 
 def test_refuted_if_search_walks_only_screened_covers(monkeypatch):
     """The refuted IF search on intermediate(4, 1, 3, 7) expands 11 nodes
-    and walks 10 minors; without the screen it walked 43."""
+    and walks 10 minors; without the screen it walked 43.  The searches on
+    Weyl B5 and D4 take the walks pinned here: a division step that walked
+    a minor it could screen, or a deletion whose charpoly was not cached,
+    would add to them."""
     walks = []
     walk = IntersectionLattice._weisner_walk
 
@@ -910,6 +916,14 @@ def test_refuted_if_search_walks_only_screened_covers(monkeypatch):
     monkeypatch.setattr(IntersectionLattice, "_weisner_walk", counted)
     result = inductively_free(intermediate(4, 1, 3, 7))
     assert (result.status, result.nodes, len(walks)) == (NOT_IF, 11, 10)
+    for arr, nodes, if_walks in ((weyl_b(5), 362, 225), (weyl_d(4), 30, 33)):
+        del walks[:]
+        result = inductively_free(arr)
+        assert (result.status, result.nodes, len(walks)) == (IF_CERTIFIED, nodes, if_walks)
+    del walks[:]
+    assert divisional_flag_search(weyl_b(5)) is not None and len(walks) == 3
+    del walks[:]
+    assert hereditarily_df(weyl_b(5)) == (True, ()) and len(walks) == 253
 
 
 def test_if_candidates_follow_the_coordinate_numbering():
@@ -932,7 +946,7 @@ def test_if_candidates_follow_the_coordinate_numbering():
                              if lat.mask(level + 1, k) & ~base & ~deleted == behind[j])
                      for j in range(len(current))}
             ordered = [j for j, _ in _reference_ordered_hyperplanes(current)]
-            assert _candidates(lat, level, index, deleted) == [cover[j] for j in ordered]
+            assert [k for k, _ in _candidates(lat, level, index, deleted)] == [cover[j] for j in ordered]
             checked += 1
             new = [lat.mask(level + 1, cover[j]) & ~base for j in range(len(current))]
             partial += any(m & -m & deleted for m in new)

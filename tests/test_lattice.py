@@ -87,19 +87,17 @@ def test_members_are_maximal():
                 assert inside == (h in flat.members)
 
 
-def _reference_lattice(arr, max_codim=None):
+def _reference_lattice(arr):
     """The lattice by the direct route, as a test oracle for build_lattice.
 
     Every flat is extended by every hyperplane it does not contain, every
     covector is re-reduced against each new flat for its member set, and
     μ comes from its defining recursion over all pairs of flats.  Returns
-    (normal-space rows, member masks, Möbius values) per level and the
-    complete flag.
+    (normal-space rows, member masks, Möbius values) per level.
     """
     field, n, dim = arr.field, len(arr), arr.dim
-    limit = dim if max_codim is None else min(max_codim, dim)
     levels = [[((), (), 0)]]
-    while len(levels) - 1 < limit:
+    while len(levels) - 1 < dim:
         found = {}
         for rows, pivots, mask in levels[-1]:
             for h in range(n):
@@ -126,15 +124,13 @@ def _reference_lattice(arr, max_codim=None):
                  if above & mask == above)
             for mask in masks[k]
         ])
-    complete = max_codim is None or len(levels) - 1 < limit or limit == dim
     rows = [[r for r, _, _ in level] for level in levels]
-    return rows, masks, mobius, complete
+    return rows, masks, mobius
 
 
-def _assert_matches_reference(arr, max_codim=None):
-    rows, masks, mobius, complete = _reference_lattice(arr, max_codim)
-    lat = build_lattice(arr, max_codim)
-    assert lat.complete == complete
+def _assert_matches_reference(arr):
+    rows, masks, mobius = _reference_lattice(arr)
+    lat = build_lattice(arr)
     assert [list(m) for m in lat._masks] == masks
     assert lat.covers == _all_pairs_covers(lat)
     assert [list(m) for m in lat.mobius] == mobius
@@ -165,8 +161,6 @@ def _catalog_arrangements():
 @pytest.mark.parametrize("name,arr", list(_catalog_arrangements()))
 def test_build_matches_reference_catalog(name, arr):
     _assert_matches_reference(arr)
-    for cap in range(1, arr.dim + 1):
-        _assert_matches_reference(arr, max_codim=cap)
     for h in range(len(arr)):
         _assert_matches_reference(restrict_to_hyperplane(arr, h).arrangement)
 
@@ -192,8 +186,8 @@ HEAD_ROW_CASES = [(f"{name}-{field.kind}", _shuffled(base, seed, field))
 
 @pytest.mark.parametrize("name,arr", HEAD_ROW_CASES, ids=[name for name, _ in HEAD_ROW_CASES])
 def test_build_matches_reference_shuffled_at_every_cap(name, arr):
-    for cap in (None, *range(1, arr.dim + 1)):
-        _assert_matches_reference(arr, max_codim=cap)
+    # every build runs down to the center, so one build has every level
+    _assert_matches_reference(arr)
 
 
 def _sort_paths(monkeypatch, arr):
@@ -283,7 +277,7 @@ def test_build_matches_reference_random(p):
         for _ in range(17):
             arr = random_arrangement(rng, dim, rng.randint(1, min(available, 9)), field=field)
             _assert_matches_reference(arr)
-            _assert_matches_reference(arr, max_codim=rng.randint(1, dim))
+            rng.randint(1, dim)  # the draw stays, so each seed keeps its arrangements
 
 
 # (1, 0) and (1, MODULUS) are distinct lines that coincide mod the prime
@@ -569,13 +563,10 @@ def _cover_arrangements():
 
 @pytest.mark.parametrize("name,arr", list(_cover_arrangements()))
 def test_covers_match_all_pairs_at_every_cap(name, arr):
-    for cap in [None] + list(range(1, arr.dim + 1)):
-        lat = build_lattice(arr, cap)
-        assert lat.covers == _all_pairs_covers(lat)
-        if not lat.complete:
-            assert all(ups == () for ups in lat.covers[-1])
-            with pytest.raises(ValueError):
-                lat.restriction_chi(0, 0)
+    # every build runs down to the center, whose flats have no covers
+    lat = build_lattice(arr)
+    assert lat.covers == _all_pairs_covers(lat)
+    assert all(ups == () for ups in lat.covers[-1])
 
 
 def _assert_interval_queries(arr):
@@ -883,11 +874,6 @@ def test_locate_rejects_unclosed_sets():
     assert len(level2) > 2 and lat.locate(level2[:2]) is None
 
 
-def test_restriction_chi_needs_complete_lattice():
-    with pytest.raises(ValueError):
-        build_lattice(weyl_b(3), max_codim=1).restriction_chi(0, 0)
-
-
 def test_char_data_er():
     data = char_data(edelman_reiner_restriction())
     assert data.chi == intpoly.from_roots([1, 3, 3, 5])
@@ -1030,12 +1016,12 @@ def test_point_count_requires_prime():
         point_count_oracle(boolean(2), 6)
 
 
-def test_truncated_lattice():
-    lat = build_lattice(weyl_b(3), max_codim=2)
-    assert len(lat.levels) == 3
-    assert not lat.complete
-    with pytest.raises(ValueError):
-        char_data(weyl_b(3), lat)
+def test_char_data_rejects_the_lattice_of_another_arrangement():
+    lat = build_lattice(weyl_b(3))
+    assert char_data(weyl_b(3), lat) == char_data(weyl_b(3))
+    for other in (weyl_d(3), braid(4), _shuffled(weyl_b(3), 1), _shuffled(weyl_b(3), 0, F_P)):
+        with pytest.raises(ValueError, match="lattice of this arrangement"):
+            char_data(other, lat)
 
 
 def test_prime_field_lattice():

@@ -102,10 +102,10 @@ def test_lattice_compares_by_its_levels_and_ignores_its_caches():
     assert lat == again and lat != build_lattice(weyl_b(4)) and lat != lat.mobius
     with pytest.raises(TypeError):
         hash(lat)
-    fields = ("arrangement", "mobius", "complete", "_masks")
+    fields = ("arrangement", "mobius", "_masks")
     mirror = dataclasses.make_dataclass("IntersectionLattice", fields)(*(getattr(lat, f) for f in fields))
     assert repr(lat) == repr(mirror)
-    twin = IntersectionLattice(lat.arrangement, lat.mobius, lat.complete, lat._masks, lat._classes)
+    twin = IntersectionLattice(lat.arrangement, lat.mobius, lat._masks, lat._classes)
     assert twin == lat and twin._chis == {} and twin._levels is None
     assert not hasattr(lat, "__dict__")
 
