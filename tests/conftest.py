@@ -1,9 +1,11 @@
-"""Shared helpers: deterministic random arrangements and multiplicities, and
-the field-generic rref (one row insertion at a time) and kernel basis that
-the integer eliminations are checked against."""
+"""Shared helpers: deterministic random arrangements and multiplicities, the
+exceptional root systems E6, E7 and E8, and the field-generic rref (one row
+insertion at a time) and kernel basis that the integer eliminations are
+checked against."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -56,6 +58,26 @@ def random_rank2_multi(rng: random.Random, field=QQ, max_lines: int = 5,
     arr = random_arrangement(rng, 2, n, field=field, coeff_lo=-3, coeff_hi=3)
     mult = Multiplicity(tuple(rng.randint(1, max_mult) for _ in range(len(arr))))
     return MultiArrangement(arr, mult)
+
+
+def e_roots(rank: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of E8, E7 or E6, doubled to integers in dimension 8.
+
+    E8's are 2(e_i - e_j) and 2(e_i + e_j) for i < j, then (±1, ..., ±1, 1)
+    with an even number of minus signs (Bourbaki's ½(e_8 + Σ ±e_i)).  E7 is
+    the roots orthogonal to the root (0, ..., 0, 2, 2), and E6 the roots of
+    E7 also orthogonal to (0, 0, 0, 0, 0, 2, -2, 0), which with the first
+    spans an A2."""
+    roots = []
+    for i, j in itertools.combinations(range(8), 2):
+        for sign in (-1, 1):
+            roots.append(tuple(2 if k == i else 2 * sign if k == j else 0 for k in range(8)))
+    for signs in itertools.product((1, -1), repeat=7):
+        if signs.count(-1) % 2 == 0:
+            roots.append(signs + (1,))
+    orthogonal_to = ((0, 0, 0, 0, 0, 0, 2, 2), (0, 0, 0, 0, 0, 2, -2, 0))[:8 - rank]
+    return tuple(root for root in roots
+                 if all(sum(a * b for a, b in zip(root, v)) == 0 for v in orthogonal_to))
 
 
 def reduce_against(field: Field, rows, pivots, vector):
